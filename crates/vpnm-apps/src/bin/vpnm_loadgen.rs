@@ -38,14 +38,13 @@ use vpnm_workloads::{
     HeavyTailFlows, MultiTenantMix, StrideAdversary, Tagged, TenantFlowGen, UniformAddresses,
 };
 
+const USAGE: &str = "usage: vpnm-loadgen --out PATH [--cycles N] [--load F]
+[--mix uniform|heavy-tail|stride|multi-tenant] [--skew F] [--flows N]
+[--tenants N] [--adversary-pct P] [--banks N]
+[--burst ON:OFF] [--seed N]";
+
 fn usage_exit(error: &str) -> ! {
-    eprintln!(
-        "error: {error}\n\
-         usage: vpnm-loadgen --out PATH [--cycles N] [--load F]\n\
-         [--mix uniform|heavy-tail|stride|multi-tenant] [--skew F] [--flows N]\n\
-         [--tenants N] [--adversary-pct P] [--banks N]\n\
-         [--burst ON:OFF] [--seed N]"
-    );
+    eprintln!("error: {error}\n{USAGE}");
     std::process::exit(2)
 }
 
@@ -115,6 +114,10 @@ fn main() {
                 banks = value("--banks")
                     .parse()
                     .unwrap_or_else(|_| usage_exit("--banks needs a number"));
+            }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
             }
             other => usage_exit(&format!("unrecognized argument '{other}'")),
         }

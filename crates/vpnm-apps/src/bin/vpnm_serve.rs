@@ -48,15 +48,14 @@ use vpnm_apps::serve::{read_trace, run_serve, Arrival, ArrivalSource, FlowMix, S
 use vpnm_apps::EngineOpts;
 use vpnm_core::VpnmConfig;
 
+const USAGE: &str = "usage: vpnm-serve [engine flags] [qos flags] [--producers N] [--cycles N]
+[--epoch N] [--load F] [--mix uniform|heavy-tail|multi-tenant]
+[--adversary-pct P] [--skew F] [--flows N]
+[--queue-depth N] [--cells-per-queue N] [--cell-bytes N] [--rate N]
+[--trace PATH] [--seed N] [--no-verify]";
+
 fn usage_exit(error: &str) -> ! {
-    eprintln!(
-        "error: {error}\n\
-         usage: vpnm-serve [engine flags] [qos flags] [--producers N] [--cycles N]\n\
-         [--epoch N] [--load F] [--mix uniform|heavy-tail|multi-tenant]\n\
-         [--adversary-pct P] [--skew F] [--flows N]\n\
-         [--queue-depth N] [--cells-per-queue N] [--cell-bytes N] [--rate N]\n\
-         [--trace PATH] [--seed N] [--no-verify]"
-    );
+    eprintln!("error: {error}\n{USAGE}");
     std::process::exit(2)
 }
 
@@ -125,6 +124,10 @@ fn main() {
             "--trace" => trace_path = Some(value("--trace")),
             "--seed" => cfg.seed = parse_u64("--seed", value("--seed")),
             "--no-verify" => cfg.verify = false,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             other => usage_exit(&format!("unrecognized argument '{other}'")),
         }
     }

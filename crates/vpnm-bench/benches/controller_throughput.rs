@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpnm_bench::report::{merge_bench_json, BenchRecord};
 use vpnm_core::{
-    ChannelSelect, FabricConfig, LineAddr, ReferenceController, Request, VpnmConfig,
-    VpnmController, VpnmFabric,
+    ChannelSelect, FabricConfig, LineAddr, PipelinedMemory, ReferenceController, Request,
+    VpnmConfig, VpnmController, VpnmFabric,
 };
 use vpnm_workloads::generators::AddressGenerator;
 use vpnm_workloads::UniformAddresses;
@@ -29,11 +29,12 @@ fn uniform_reads(space: u64, seed: u64) -> impl FnMut() -> Option<Request> {
     move || Some(Request::read(LineAddr(rng.gen_range(0..space))))
 }
 
-/// The batched front door: generator batch-fill + `run_reads_with`, so
-/// the timed loop pays neither one generator call nor one `tick` call
-/// per cycle, and responses fold into counters instead of a buffer.
-/// `UniformAddresses` draws the identical stream the per-tick
-/// `uniform_reads` closure draws (same `StdRng`, same range call).
+/// The batched front door end to end: generator batch-fill, request
+/// build, and `PipelinedMemory::issue_batch` (the controller's one drive
+/// loop over a dense lane), so the timed loop pays neither one generator
+/// call nor one `tick` call per cycle. Same stream as
+/// `controller/issue_batch`, which keeps the request build out of the
+/// timed region.
 fn bench_uniform_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("controller/uniform_reads");
     for (name, config) in [
@@ -51,11 +52,9 @@ fn bench_uniform_reads(c: &mut Criterion) {
                 },
                 |(mut mem, mut gen, mut addrs)| {
                     gen.fill_addrs(&mut addrs);
-                    let mut served = 0u64;
-                    let counts = mem.run_reads_with(&addrs, CYCLES, |r| {
-                        served += r.completed_at.as_u64();
-                    });
-                    std::hint::black_box((counts, served));
+                    let reqs: Vec<Request> =
+                        addrs.iter().map(|&a| Request::read(LineAddr(a))).collect();
+                    std::hint::black_box(mem.issue_batch(&reqs));
                     mem
                 },
                 criterion::BatchSize::LargeInput,
@@ -66,8 +65,8 @@ fn bench_uniform_reads(c: &mut Criterion) {
 }
 
 /// The dense batch front door: a pre-built `Vec<Request>` issued through
-/// `issue_batch`, which hashes whole chunks through `hash_batch` (SIMD on
-/// AVX2 hosts) and prefetches bank/ring state ahead of the step loop.
+/// `issue_batch`, whose drive loop hashes whole chunks through
+/// `hash_batch` (SIMD on AVX2 hosts).
 /// Same stream as `controller/uniform_reads`, so the two IDs are directly
 /// comparable.
 fn bench_issue_batch(c: &mut Criterion) {
@@ -179,7 +178,7 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
     };
     group.bench_function("fast_paper_optimal", |bench| {
         // Batched front door: the trace is materialized once in setup, so
-        // the timed region is pure `run_batch` — admission, event-horizon
+        // the timed region is pure `run_epoch` — admission, event-horizon
         // skipping and response collection with no per-cycle callback.
         bench.iter_batched(
             || {
@@ -188,7 +187,7 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
                 (VpnmController::new(VpnmConfig::paper_optimal(), 7).expect("valid"), trace)
             },
             |(mut mem, trace)| {
-                std::hint::black_box(mem.run_batch(&trace, CYCLES));
+                std::hint::black_box(mem.run_epoch(&trace));
                 mem
             },
             criterion::BatchSize::LargeInput,
@@ -200,7 +199,9 @@ fn bench_idle_fast_forward(c: &mut Criterion) {
         bench.iter_batched(
             || (VpnmController::new(VpnmConfig::paper_optimal(), 7).expect("valid"), source(9)),
             |(mut mem, mut gen)| {
-                std::hint::black_box(mem.run(CYCLES, |_| gen()));
+                for _ in 0..CYCLES {
+                    std::hint::black_box(mem.tick(gen()));
+                }
                 mem
             },
             criterion::BatchSize::LargeInput,

@@ -7,7 +7,8 @@
 //! independent controller instance whose seeds derive only from the
 //! campaign seed and the shard index. Shards run across all cores via
 //! [`crate::parallel::run_trials_chunked`], driving the batched
-//! [`vpnm_core::VpnmController::run_batch`] front door, and every
+//! [`PipelinedMemory`] methods (`issue_batch` on a single channel,
+//! `run_epoch` on a fabric), and every
 //! completed shard is appended as one JSON line to a checkpoint file —
 //! kill the process at any point and a rerun resumes from the last
 //! completed shard instead of restarting the campaign.
@@ -53,7 +54,7 @@ use vpnm_workloads::UniformAddresses;
 /// without divergence.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
-/// Interface cycles simulated per `run_batch` call inside a shard — large
+/// Interface cycles simulated per batch call inside a shard — large
 /// enough to amortize batch setup, small enough to keep buffers in cache.
 const BATCH_CYCLES: usize = 8192;
 
@@ -164,9 +165,10 @@ pub fn run_shard(params: &CampaignParams, shard: u64) -> ShardResult {
 /// Runs one shard to completion: a fresh controller (or fabric, for
 /// `channels > 1`) and a fresh uniform read stream, both seeded
 /// deterministically from `(params.seed, shard)`, driven through
-/// [`VpnmController::run_batch`] in [`BATCH_CYCLES`]-sized batches (the
-/// single-channel fast path) or through the fabric's epoch-batched
-/// `run_epoch` in the same batch size, and drained at the end.
+/// [`PipelinedMemory::issue_batch`] in `BATCH_CYCLES`-sized dense
+/// batches (the single-channel path; every cycle carries a read, so no
+/// cycle is skipped) or through the fabric's epoch-batched `run_epoch` in
+/// the same batch size, and drained at the end.
 ///
 /// `workers` only affects how a multi-channel shard's epochs execute
 /// (on-thread for 1, a per-shard [`vpnm_core::WorkerPool`] otherwise) —
@@ -183,7 +185,7 @@ pub fn run_shard_with_workers(params: &CampaignParams, shard: u64, workers: usiz
     let mut gen = UniformAddresses::new(1u64 << config.addr_bits, wl_seed);
 
     let mut addrs = vec![0u64; BATCH_CYCLES];
-    let mut batch: Vec<Option<Request>> = Vec::with_capacity(BATCH_CYCLES);
+    let mut batch: Vec<Request> = Vec::with_capacity(BATCH_CYCLES);
     let mut remaining = params.cycles_of_shard(shard);
     let mut accepted = 0u64;
     let mut stalled = 0u64;
@@ -192,8 +194,8 @@ pub fn run_shard_with_workers(params: &CampaignParams, shard: u64, workers: usiz
         let n = remaining.min(BATCH_CYCLES as u64) as usize;
         gen.fill_addrs(&mut addrs[..n]);
         batch.clear();
-        batch.extend(addrs[..n].iter().map(|&a| Some(Request::read(LineAddr(a)))));
-        let report = mem.run_batch(&batch, n as u64);
+        batch.extend(addrs[..n].iter().map(|&a| Request::read(LineAddr(a))));
+        let report = mem.issue_batch(&batch);
         accepted += report.accepted;
         stalled += report.stalled;
         responses += report.responses.len() as u64;

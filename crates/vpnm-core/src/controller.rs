@@ -64,19 +64,10 @@ const SKIP_BUSY_MIN: u64 = 4;
 /// one decrement per idle cycle instead of one horizon scan).
 const SKIP_BUSY_BACKOFF: u32 = 63;
 
-/// What to do when a request cannot be accepted this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallPolicy {
-    /// Retry the same request on the next interface cycle (stalls the
-    /// line; paper Section 4: "simply stall the controller, where the
-    /// slowdown would not even be a fraction of a percent").
-    Block,
-    /// Drop the request (paper: "the other alternative is to simply drop
-    /// the packet").
-    Drop,
-}
-
-/// Summary of a batched [`VpnmController::run`] call.
+/// Summary of a batch drive call ([`PipelinedMemory::run_epoch`],
+/// `run_epoch_sparse` or `issue_batch`).
+///
+/// [`PipelinedMemory::run_epoch`]: crate::PipelinedMemory::run_epoch
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Every response that became due during the run, in order.
@@ -88,21 +79,6 @@ pub struct RunReport {
     /// Malformed requests rejected outright (not retryable; see
     /// [`StallKind::is_rejection`]).
     pub rejected: u64,
-}
-
-/// Acceptance counts from a sink-style run — [`RunReport`] without the
-/// collected responses (those went to the caller's sink as they became
-/// due).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunCounts {
-    /// Requests accepted (including merged reads).
-    pub accepted: u64,
-    /// Requests that stalled on a full buffer (retryable).
-    pub stalled: u64,
-    /// Malformed requests rejected outright (not retryable).
-    pub rejected: u64,
-    /// Responses that became due during the run.
-    pub responses: u64,
 }
 
 /// Run-length accumulator for the two per-cycle occupancy samples
@@ -170,7 +146,8 @@ fn first_set_bit(bits: &[u64], from: usize, to: usize) -> Option<usize> {
 /// Presents banked DRAM as a flat pipeline: every accepted read is answered
 /// after exactly `D` interface cycles regardless of the access pattern.
 /// Drive it one interface cycle at a time with [`VpnmController::tick`], or
-/// in batches with [`VpnmController::run`].
+/// in batches through the [`PipelinedMemory`](crate::PipelinedMemory)
+/// batch methods.
 ///
 /// ```
 /// use vpnm_core::{Request, LineAddr, VpnmConfig, VpnmController};
@@ -236,7 +213,7 @@ pub struct VpnmController {
     /// Total live delay-storage rows across banks.
     storage_live: u64,
     /// Interface cycles covered by event-horizon skips in
-    /// [`VpnmController::run_batch`] (drive-mode accounting; not part of
+    /// the batch drive loop (drive-mode accounting; not part of
     /// [`ControllerMetrics`] so metrics equality across engines and drive
     /// modes is unaffected).
     cycles_skipped: u64,
@@ -370,7 +347,7 @@ impl VpnmController {
     }
 
     /// Interface cycles covered by event-horizon skips rather than
-    /// individual ticks (see [`VpnmController::run_batch`]).
+    /// individual ticks by the batch drive loop.
     pub fn cycles_skipped(&self) -> u64 {
         self.cycles_skipped
     }
@@ -413,7 +390,7 @@ impl VpnmController {
 
     /// One interface cycle with the bank mapping already computed —
     /// [`VpnmController::tick`] with the hash hoisted out so
-    /// [`VpnmController::run_batch`] can amortize hashing over a whole
+    /// the batch drive loop can amortize hashing over a whole
     /// batch. `bank` is only read for a `Some` request that passes
     /// validation. Inlined into each drive loop so the request stays in
     /// registers instead of crossing a call boundary every simulated
@@ -824,306 +801,69 @@ impl VpnmController {
         }
     }
 
-    /// Drives the controller for `cycles` interface cycles, pulling at
-    /// most one request per cycle from `source` (called with the cycle
-    /// count *before* the tick; the request is presented on the following
-    /// edge). Returns the responses and acceptance counts.
+    /// The one batch drive loop behind every [`PipelinedMemory`] batch
+    /// method (`run_epoch`, `run_epoch_sparse`, `issue_batch`): advances
+    /// `len` interface cycles, presenting each lane item's request on
+    /// cycle `offset` (offsets strictly increasing, `< len`); every other
+    /// cycle is idle. Responses, acceptance counts, clock, and metrics are
+    /// exactly those of the equivalent [`VpnmController::tick`] sequence
+    /// (the differential proptest pins this against
+    /// [`crate::ReferenceController`]); only the `cycles_skipped`
+    /// drive-mode counter differs. Generic over the lane so each adapter
+    /// gets its own monomorphised copy. Two costs of the per-tick path are
+    /// amortized:
     ///
-    /// This is the batched front door for benchmarks and experiment
-    /// drivers: idle stretches (cycles where `source` returns `None` and
-    /// no bank has work) cost almost nothing thanks to the idle
-    /// fast-forward.
-    pub fn run(
-        &mut self,
-        cycles: u64,
-        mut source: impl FnMut(Cycle) -> Option<Request>,
-    ) -> RunReport {
-        let mut report = RunReport::default();
-        for _ in 0..cycles {
-            let request = source(self.now());
-            let presented = request.is_some();
-            let out = self.tick(request);
-            if let Some(r) = out.response {
-                report.responses.push(r);
-            }
-            match out.stall {
-                None => report.accepted += u64::from(presented),
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-        }
-        report
-    }
-
-    /// Drives the controller for `budget.max(requests.len())` interface
-    /// cycles, presenting `requests[i]` on cycle `i` (cycles beyond the
-    /// slice are idle). Produces exactly the same responses, metrics, and
-    /// acceptance counts as the equivalent [`VpnmController::tick`]
-    /// sequence — a property test pins this — but amortizes two costs the
-    /// per-tick path pays every cycle:
+    /// * **Batched hashing**: bank mappings are computed in cache-sized
+    ///   chunks through [`HashEngine::hash_batch`] (SIMD where
+    ///   available). The hash is total over u64, so malformed addresses
+    ///   hash harmlessly — `step` validates before reading the bank.
+    /// * **Event-horizon skipping**: the gaps between lane items are known
+    ///   from the offsets, so [`VpnmController::idle_until`] jumps the
+    ///   clock straight to the next observable event instead of stepping
+    ///   each idle cycle. A dense lane pays one offset compare per request
+    ///   and never enters the skip code.
     ///
-    /// * **Batched hashing**: the bank mapping of every request in the
-    ///   slice is computed in one [`HashEngine::hash_batch`] call up
-    ///   front, letting the hash tables stay hot in cache across the
-    ///   whole batch instead of being re-touched once per cycle.
-    /// * **Event-horizon skipping**: inside a run of idle cycles (no
-    ///   request presented, no bank with queued work), the next observable
-    ///   event is the earliest of the next request, the next delay-ring
-    ///   playback, and the end of the budget — so the clock jumps straight
-    ///   there. This generalizes the per-tick idle fast-forward (which
-    ///   still paid one `tick` call per idle interface cycle) into a true
-    ///   next-event jump. Skipped spans are counted in
-    ///   [`VpnmController::cycles_skipped`] and recorded as one
-    ///   [`ForensicKind::FastForward`] event when forensics are enabled.
-    pub fn run_batch(&mut self, requests: &[Option<Request>], budget: u64) -> RunReport {
-        let len = requests.len() as u64;
-        let total = budget.max(len);
-        // Pre-hash every presented address in one batched pass. The hash
-        // is total over u64, so malformed (out-of-range) addresses get a
-        // bank too — it is simply never read, because `step` validates
-        // before consulting it.
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        addrs.extend(requests.iter().flatten().map(|r| r.addr().0));
-        let mut banks = vec![0u32; addrs.len()];
-        self.hash.hash_batch(&addrs, &mut banks);
-
-        let mut report = RunReport::default();
-        let mut samples = SampleRun::default();
-        // Cursor into `banks`, advanced once per `Some` request visited
-        // (skips only ever jump over `None` entries, so it stays aligned).
-        let mut next_bank = 0usize;
-        // Exclusive end of the known idle (all-`None`) run containing the
-        // current cycle, cached so repeated skip attempts inside one gap
-        // never rescan the request slice.
-        let mut gap_end = 0u64;
-        let mut i = 0u64;
-        while i < total {
-            let idle = i >= len || requests[i as usize].is_none();
-            if idle {
-                if gap_end <= i {
-                    let mut j = i + 1;
-                    while j < len && requests[j as usize].is_none() {
-                        j += 1;
-                    }
-                    gap_end = if j >= len { total } else { j };
-                }
-                let n = if self.ready.is_empty() {
-                    self.skip_idle(gap_end - i)
-                } else {
-                    self.skip_busy(gap_end - i)
-                };
-                if n > 0 {
-                    i += n;
-                    continue;
-                }
-                // n == 0: a playback falls due (or a bus grant does real
-                // work) this very cycle — take the normal step below.
-            }
-            let (request, bank) = if i < len {
-                match &requests[i as usize] {
-                    Some(r) => {
-                        let b = banks[next_bank] as usize;
-                        next_bank += 1;
-                        (Some(r.clone()), b)
-                    }
-                    None => (None, 0),
-                }
-            } else {
-                (None, 0)
-            };
-            let presented = request.is_some();
-            let stall = self.step(request, bank, &mut |r| report.responses.push(r));
-            let depth = self.max_queue_depth();
-            samples.push(&mut self.metrics, depth, self.storage_live);
-            match stall {
-                None => report.accepted += u64::from(presented),
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-            i += 1;
-        }
-        samples.flush(&mut self.metrics);
-        report
-    }
-
-    /// [`VpnmController::run_batch`] over a **sparse** epoch: advances
-    /// `len` interface cycles presenting `requests[k].1` on cycle
-    /// `requests[k].0` (offsets strictly increasing, `< len`); every
-    /// other cycle is idle. Exactly equivalent to `run_batch` over the
-    /// densified span — same responses, metrics, and skip accounting (a
-    /// test pins this) — but the cost scales with the number of requests
-    /// and due playbacks, not with `len`: idle gaps are *known* from the
-    /// offsets, so no dense `Option` slice is ever materialized or
-    /// scanned. This is what makes a multi-channel
-    /// [`crate::VpnmFabric`] epoch cheap — each channel of a `C`-channel
-    /// fabric sees only `1/C` of the stream and jumps straight across the
-    /// other `C-1`/`C` of the epoch.
-    pub fn run_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+    /// [`PipelinedMemory`]: crate::PipelinedMemory
+    pub(crate) fn drive<'r, L>(&mut self, len: u64, lane: L) -> RunReport
+    where
+        L: Iterator<Item = (u64, &'r Request)> + Clone,
+    {
+        const CHUNK: usize = 1024;
         debug_assert!(
-            requests.windows(2).all(|p| p[0].0 < p[1].0)
-                && requests.last().is_none_or(|&(o, _)| o < len),
+            {
+                let mut prev = None;
+                lane.clone().all(|(o, _)| {
+                    let ok = o < len && prev.is_none_or(|p| p < o);
+                    prev = Some(o);
+                    ok
+                })
+            },
             "offsets must be strictly increasing and < len"
         );
-        // Pre-hash every presented address in one batched pass, exactly
-        // like `run_batch` (the hash is total over u64, so malformed
-        // addresses hash harmlessly — `step` validates before use).
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        addrs.extend(requests.iter().map(|(_, r)| r.addr().0));
-        let mut banks = vec![0u32; addrs.len()];
-        self.hash.hash_batch(&addrs, &mut banks);
-
         let mut report = RunReport::default();
+        report.responses.reserve(lane.size_hint().0);
         let mut samples = SampleRun::default();
-        let mut k = 0usize;
-        let mut i = 0u64;
-        while i < len {
-            let next_req = requests.get(k).map_or(len, |&(o, _)| o);
-            if i < next_req {
-                let n = if self.ready.is_empty() {
-                    self.skip_idle(next_req - i)
-                } else {
-                    self.skip_busy(next_req - i)
-                };
-                if n > 0 {
-                    i += n;
-                    continue;
-                }
-                // n == 0: a playback falls due (or a bus grant does real
-                // work) this very cycle — take the normal (idle) step
-                // below.
-            }
-            let (request, bank) = if i == next_req {
-                let b = banks[k] as usize;
-                let r = requests[k].1.clone();
-                k += 1;
-                (Some(r), b)
-            } else {
-                (None, 0)
-            };
-            let presented = request.is_some();
-            let stall = self.step(request, bank, &mut |r| report.responses.push(r));
-            let depth = self.max_queue_depth();
-            samples.push(&mut self.metrics, depth, self.storage_live);
-            match stall {
-                None => report.accepted += u64::from(presented),
-                Some(kind) if kind.is_rejection() => report.rejected += 1,
-                Some(_) => report.stalled += 1,
-            }
-            i += 1;
-        }
-        samples.flush(&mut self.metrics);
-        report
-    }
-
-    /// [`VpnmController::run_batch`] specialized to an all-read request
-    /// stream given as raw line addresses: `addrs[i]` is presented as
-    /// `Request::Read` on cycle `i`, and cycles `addrs.len()..budget` are
-    /// idle. Exactly equivalent to the `run_batch` call over the same
-    /// stream (a test pins this) but without materializing a
-    /// `Vec<Option<Request>>` — the dominant cost of driving a full-load
-    /// read benchmark, where the request enum is pure overhead around an
-    /// 8-byte address.
-    pub fn run_reads(&mut self, addrs: &[u64], budget: u64) -> RunReport {
-        let mut responses = Vec::new();
-        let counts = self.run_reads_with(addrs, budget, |r| responses.push(r));
-        RunReport {
-            responses,
-            accepted: counts.accepted,
-            stalled: counts.stalled,
-            rejected: counts.rejected,
-        }
-    }
-
-    /// [`VpnmController::run_reads`] with responses streamed to a sink
-    /// instead of collected: throughput measurement and campaign shards
-    /// fold each [`Response`] into counters on the spot, so buffering
-    /// every response of a long run would be pure memory traffic.
-    /// Addresses are bank-hashed in cache-sized chunks via
-    /// [`HashEngine::hash_batch`].
-    pub fn run_reads_with(
-        &mut self,
-        addrs: &[u64],
-        budget: u64,
-        mut on_response: impl FnMut(Response),
-    ) -> RunCounts {
-        const CHUNK: usize = 1024;
-        let len = addrs.len() as u64;
-        let total = budget.max(len);
-        let mut counts = RunCounts::default();
-        let mut samples = SampleRun::default();
-        let mut banks = [0u32; CHUNK];
-        for chunk in addrs.chunks(CHUNK) {
-            let banks = &mut banks[..chunk.len()];
-            self.hash.hash_batch(chunk, banks);
-            for (&addr, &bank) in chunk.iter().zip(banks.iter()) {
-                let stall =
-                    self.step(Some(Request::read(LineAddr(addr))), bank as usize, &mut |r| {
-                        counts.responses += 1;
-                        on_response(r);
-                    });
-                let depth = self.max_queue_depth();
-                samples.push(&mut self.metrics, depth, self.storage_live);
-                match stall {
-                    None => counts.accepted += 1,
-                    Some(kind) if kind.is_rejection() => counts.rejected += 1,
-                    Some(_) => counts.stalled += 1,
-                }
-            }
-        }
-        // Idle tail out to the budget, with event-horizon skipping.
-        let mut i = len;
-        while i < total {
-            let n = if self.ready.is_empty() {
-                self.skip_idle(total - i)
-            } else {
-                self.skip_busy(total - i)
-            };
-            if n > 0 {
-                i += n;
-                continue;
-            }
-            self.step(None, 0, &mut |r| {
-                counts.responses += 1;
-                on_response(r);
-            });
-            let depth = self.max_queue_depth();
-            samples.push(&mut self.metrics, depth, self.storage_live);
-            i += 1;
-        }
-        samples.flush(&mut self.metrics);
-        counts
-    }
-
-    /// Dense batch issue: advances exactly `requests.len()` interface
-    /// cycles, presenting `requests[i]` on cycle `i` — the saturated-load
-    /// counterpart of [`VpnmController::run_batch`], for callers whose
-    /// span has a request on *every* cycle (epoch-batched front-ends at
-    /// line rate). Observationally identical to `run_batch` over the
-    /// `Some`-wrapped slice (a property test pins this), but the drive
-    /// loop carries no `Option` scanning and no idle/skip machinery:
-    /// addresses are bank-hashed in cache-sized chunks through the
-    /// batched (SIMD where available) [`HashEngine::hash_batch`] path,
-    /// and the per-cycle work is one prefetched `step`.
-    pub fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        const CHUNK: usize = 1024;
-        let mut report = RunReport::default();
-        let mut samples = SampleRun::default();
-        // Full-rate batches answer ~one read per cycle; reserving up front
-        // keeps the response collection out of the reallocation path.
-        report.responses.reserve(requests.len());
         let mut addrs = [0u64; CHUNK];
         let mut banks = [0u32; CHUNK];
-        for chunk in requests.chunks(CHUNK) {
-            let addrs = &mut addrs[..chunk.len()];
-            let banks = &mut banks[..chunk.len()];
-            for (a, r) in addrs.iter_mut().zip(chunk) {
-                *a = r.addr().0;
+        let mut lane = lane;
+        let mut i = 0u64;
+        loop {
+            let mut n = 0;
+            for ((_, req), a) in lane.clone().zip(addrs.iter_mut()) {
+                *a = req.addr().0;
+                n += 1;
             }
-            self.hash.hash_batch(addrs, banks);
-            for k in 0..chunk.len() {
-                let stall = self.step(Some(chunk[k].clone()), banks[k] as usize, &mut |r| {
-                    report.responses.push(r)
-                });
+            if n == 0 {
+                break;
+            }
+            self.hash.hash_batch(&addrs[..n], &mut banks[..n]);
+            for ((offset, req), &bank) in lane.by_ref().take(n).zip(&banks[..n]) {
+                if i < offset {
+                    self.idle_until(i, offset, &mut samples, &mut report.responses);
+                    i = offset;
+                }
+                let stall =
+                    self.step(Some(req.clone()), bank as usize, &mut |r| report.responses.push(r));
                 let depth = self.max_queue_depth();
                 samples.push(&mut self.metrics, depth, self.storage_live);
                 match stall {
@@ -1131,10 +871,42 @@ impl VpnmController {
                     Some(kind) if kind.is_rejection() => report.rejected += 1,
                     Some(_) => report.stalled += 1,
                 }
+                i += 1;
             }
         }
+        self.idle_until(i, len, &mut samples, &mut report.responses);
         samples.flush(&mut self.metrics);
         report
+    }
+
+    /// Advances the request-free interface cycles `from..to`, jumping
+    /// every span [`VpnmController::skip_idle`] / `skip_busy` prove
+    /// skippable and stepping the rest (a playback falling due, or a bus
+    /// grant doing real work). Skipped spans are counted in
+    /// [`VpnmController::cycles_skipped`] and recorded as
+    /// [`ForensicKind::FastForward`] events when forensics are enabled.
+    fn idle_until(
+        &mut self,
+        mut from: u64,
+        to: u64,
+        samples: &mut SampleRun,
+        responses: &mut Vec<Response>,
+    ) {
+        while from < to {
+            let n = if self.ready.is_empty() {
+                self.skip_idle(to - from)
+            } else {
+                self.skip_busy(to - from)
+            };
+            if n > 0 {
+                from += n;
+                continue;
+            }
+            self.step(None, 0, &mut |r| responses.push(r));
+            let depth = self.max_queue_depth();
+            samples.push(&mut self.metrics, depth, self.storage_live);
+            from += 1;
+        }
     }
 
     /// Fast-forwards through up to `gap` interface cycles that are known
@@ -1343,35 +1115,6 @@ impl VpnmController {
         self.hash = new_hash;
         (drained, moved)
     }
-
-    /// Submits a request under the given stall policy, ticking until it is
-    /// accepted (Block) or giving up immediately (Drop). Returns all
-    /// responses that became due while waiting, plus whether the request
-    /// was ultimately accepted.
-    ///
-    /// Malformed requests are rejected immediately under either policy —
-    /// retrying can never make an out-of-range address valid.
-    pub fn submit_with_policy(
-        &mut self,
-        request: Request,
-        policy: StallPolicy,
-    ) -> (Vec<Response>, bool) {
-        let mut responses = Vec::new();
-        let pending = Some(request);
-        loop {
-            let out = self.tick(pending.clone());
-            responses.extend(out.response);
-            match (out.stall, policy) {
-                (None, _) => return (responses, true),
-                (Some(kind), _) if kind.is_rejection() => return (responses, false),
-                (Some(_), StallPolicy::Drop) => return (responses, false),
-                (Some(_), StallPolicy::Block) => {
-                    // keep `pending` and retry next cycle
-                    debug_assert!(pending.is_some());
-                }
-            }
-        }
-    }
 }
 
 /// Convenience constructors for the two request kinds.
@@ -1390,7 +1133,9 @@ impl VpnmController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive_program;
     use crate::hash_engine::HashKind;
+    use crate::memory::PipelinedMemory;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1515,40 +1260,6 @@ mod tests {
         let m = mem.metrics();
         assert!(m.total_stalls() > 0);
         assert!(m.first_stall_at.is_some());
-    }
-
-    #[test]
-    fn blocking_policy_eventually_accepts() {
-        let cfg = VpnmConfig::small_test().with_hash(HashKind::LowBits);
-        let mut mem = VpnmController::new(cfg, 0).unwrap();
-        let mut accepted = 0;
-        let mut responses = Vec::new();
-        for i in 0..50u64 {
-            let (rs, ok) =
-                mem.submit_with_policy(Request::read(LineAddr(i * 4)), StallPolicy::Block);
-            responses.extend(rs);
-            accepted += u64::from(ok);
-        }
-        responses.extend(mem.drain());
-        assert_eq!(accepted, 50);
-        assert_eq!(responses.len(), 50);
-    }
-
-    #[test]
-    fn drop_policy_loses_requests_but_continues() {
-        let cfg = VpnmConfig::small_test().with_hash(HashKind::LowBits);
-        let mut mem = VpnmController::new(cfg, 0).unwrap();
-        let mut dropped = 0;
-        let mut responses = Vec::new();
-        for i in 0..100u64 {
-            let (rs, ok) =
-                mem.submit_with_policy(Request::read(LineAddr(i * 4)), StallPolicy::Drop);
-            responses.extend(rs);
-            dropped += u64::from(!ok);
-        }
-        assert!(dropped > 0);
-        responses.extend(mem.drain());
-        assert_eq!(responses.len() as u64, 100 - dropped);
     }
 
     #[test]
@@ -1737,66 +1448,14 @@ mod tests {
     }
 
     #[test]
-    fn blocking_policy_gives_up_on_malformed_request() {
-        if cfg!(debug_assertions) {
-            return; // covered by the assertion tests above
-        }
-        let mut mem = small();
-        // Under Block a retryable stall would loop; a rejection must
-        // return immediately instead of spinning forever.
-        let (rs, ok) = mem.submit_with_policy(Request::read(LineAddr(1 << 20)), StallPolicy::Block);
-        assert!(!ok);
-        assert!(rs.is_empty());
-    }
-
-    #[test]
     fn invalid_config_reports_error() {
         let cfg = VpnmConfig::small_test().with_banks(3);
         assert!(VpnmController::new(cfg, 0).is_err());
     }
 
     #[test]
-    fn run_batches_match_manual_ticks() {
-        let mk = || VpnmController::new(VpnmConfig::small_test(), 11).unwrap();
-        let reqs: Vec<Option<Request>> = (0..2000u64)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Some(Request::read(LineAddr(i * 37 % 5000)))
-                } else if i % 7 == 0 {
-                    Some(Request::write(LineAddr(i % 64), vec![i as u8]))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        let mut manual = mk();
-        let mut manual_responses = Vec::new();
-        let mut accepted = 0u64;
-        let mut stalled = 0u64;
-        for r in &reqs {
-            let out = manual.tick(r.clone());
-            manual_responses.extend(out.response);
-            match out.stall {
-                None => accepted += u64::from(r.is_some()),
-                Some(k) if k.is_rejection() => {}
-                Some(_) => stalled += 1,
-            }
-        }
-
-        let mut batched = mk();
-        let mut it = reqs.iter().cloned();
-        let report = batched.run(reqs.len() as u64, |_| it.next().flatten());
-        assert_eq!(report.responses, manual_responses);
-        assert_eq!(report.accepted, accepted);
-        assert_eq!(report.stalled, stalled);
-        assert_eq!(report.rejected, 0);
-        assert_eq!(manual.metrics(), batched.metrics());
-    }
-
-    #[test]
-    fn run_batch_matches_manual_ticks_and_skips() {
-        // A bursty trace with long idle gaps: the batched path must take
+    fn run_epoch_matches_manual_ticks_and_skips() {
+        // A bursty trace with long idle gaps: the drive loop must take
         // event-horizon skips (cycles_skipped > 0) and still be
         // observationally identical to the tick-by-tick run.
         let mk = || VpnmController::new(VpnmConfig::small_test(), 11).unwrap();
@@ -1812,7 +1471,7 @@ mod tests {
             }
             reqs.extend(std::iter::repeat_n(None, 60 + burst as usize));
         }
-        let budget = reqs.len() as u64 + 200;
+        reqs.extend(std::iter::repeat_n(None, 200));
 
         let mut manual = mk();
         let mut manual_report = RunReport::default();
@@ -1825,12 +1484,9 @@ mod tests {
                 Some(_) => manual_report.stalled += 1,
             }
         }
-        for _ in reqs.len() as u64..budget {
-            manual_report.responses.extend(manual.tick(None).response);
-        }
 
         let mut batched = mk();
-        let report = batched.run_batch(&reqs, budget);
+        let report = PipelinedMemory::run_epoch(&mut batched, &reqs);
         assert_eq!(report, manual_report);
         assert_eq!(batched.now(), manual.now());
         assert_eq!(batched.metrics(), manual.metrics());
@@ -1843,10 +1499,10 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_skip_lands_exactly_on_retire_cycle() {
-        // One read in flight, then a pure-idle batch: the event-horizon
+    fn idle_epoch_skip_lands_exactly_on_retire_cycle() {
+        // One read in flight, then a pure-idle epoch: the event-horizon
         // jump must stop exactly at the ring slot where the playback falls
-        // due, answer it with latency D, then skip the remaining budget.
+        // due, answer it with latency D, then skip the rest of the epoch.
         for ratio in [1.0, 1.3, 2.0] {
             let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
             let mut mem = VpnmController::new(cfg, 21).unwrap();
@@ -1854,197 +1510,43 @@ mod tests {
             mem.tick_write(9, vec![0x5A]);
             assert!(mem.tick_read(9).accepted());
             let before = mem.now().as_u64();
-            let report = mem.run_batch(&[], 5 * d);
+            let report = mem.run_epoch_sparse(5 * d, &[]);
             assert_eq!(report.responses.len(), 1, "ratio {ratio}");
             let r = &report.responses[0];
             assert_eq!(r.latency(), d, "ratio {ratio}");
             assert_eq!(r.data[0], 0x5A, "ratio {ratio}");
             assert_eq!(mem.outstanding(), 0);
-            assert_eq!(mem.now().as_u64(), before + 5 * d, "budget fully consumed");
+            assert_eq!(mem.now().as_u64(), before + 5 * d, "epoch fully consumed");
             assert!(mem.cycles_skipped() > 0, "idle spans must be skipped");
             assert_eq!(mem.metrics().deadline_misses, 0);
         }
     }
 
     proptest! {
-        /// `run_batch` over arbitrary traces (with idle runs long enough
-        /// to trigger event-horizon skips) is observationally identical to
-        /// the equivalent `tick` sequence: same responses, same report,
-        /// same clock, same metrics, same snapshot bytes modulo the
-        /// `cycles_skipped` drive-mode counter.
+        /// The controller's one batch drive loop, reached through every
+        /// batch method in a random program interleaved with `tick`, is
+        /// observationally identical to [`ReferenceController`] driven
+        /// one `tick` per cycle: same responses and accept/stall/reject
+        /// counts per call, same clock, same drain, and the same snapshot
+        /// bytes modulo the `cycles_skipped` drive-mode counter.
         #[test]
-        fn run_batch_equals_tick_sequence(
-            chunks in proptest::collection::vec(
-                prop_oneof![
-                    3 => (0u64..1 << 16).prop_map(|a|
-                        vec![Some(Request::read(LineAddr(a)))]),
-                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)|
-                        vec![Some(Request::write(LineAddr(a), vec![v]))]),
-                    2 => (1usize..100).prop_map(|n| vec![None; n]),
-                ],
-                0..40,
-            ),
-            extra in 0u64..120,
+        fn drive_paths_match_reference(
+            program in drive_program::program(),
             ratio_idx in 0usize..3,
         ) {
-            let reqs: Vec<Option<Request>> = chunks.concat();
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let budget = reqs.len() as u64 + extra;
-
-            let mut manual = mk();
-            let mut manual_report = RunReport::default();
-            for r in &reqs {
-                let out = manual.tick(r.clone());
-                manual_report.responses.extend(out.response);
-                match out.stall {
-                    None => manual_report.accepted += u64::from(r.is_some()),
-                    Some(k) if k.is_rejection() => manual_report.rejected += 1,
-                    Some(_) => manual_report.stalled += 1,
-                }
+            let cfg = VpnmConfig::small_test().with_bus_ratio([1.0, 1.3, 1.7][ratio_idx]);
+            let mut fast = VpnmController::new(cfg.clone(), 7).unwrap();
+            let mut reference = crate::ReferenceController::new(cfg, 7).unwrap();
+            for (k, call) in program.iter().enumerate() {
+                let got = drive_program::apply(&mut fast, call);
+                let want = drive_program::apply_ticks(&mut reference, call);
+                prop_assert_eq!(got, want, "call {}", k);
+                prop_assert_eq!(fast.now(), reference.now(), "call {}", k);
             }
-            for _ in reqs.len() as u64..budget {
-                manual_report.responses.extend(manual.tick(None).response);
-            }
-
-            let mut batched = mk();
-            let report = batched.run_batch(&reqs, budget);
-            prop_assert_eq!(report, manual_report);
-            prop_assert_eq!(batched.now(), manual.now());
-            prop_assert_eq!(batched.metrics(), manual.metrics());
-            let mut snap = batched.snapshot();
+            prop_assert_eq!(fast.drain(), reference.drain());
+            let mut snap = fast.snapshot();
             snap.cycles_skipped = 0;
-            prop_assert_eq!(snap.to_json(), manual.snapshot().to_json());
-        }
-
-        /// `run_reads` (and its streaming `run_reads_with` form) over an
-        /// address slice is observationally identical to `run_batch` over
-        /// the same stream wrapped in `Some(Request::Read)` — including
-        /// the idle tail past the end of the slice.
-        #[test]
-        fn run_reads_equals_run_batch(
-            addrs in proptest::collection::vec(0u64..1 << 16, 0..200),
-            extra in 0u64..150,
-            ratio_idx in 0usize..3,
-        ) {
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let budget = addrs.len() as u64 + extra;
-            let reqs: Vec<Option<Request>> = addrs
-                .iter()
-                .map(|&a| Some(Request::read(LineAddr(a))))
-                .collect();
-
-            let mut batched = mk();
-            let batch_report = batched.run_batch(&reqs, budget);
-
-            let mut by_addrs = mk();
-            let report = by_addrs.run_reads(&addrs, budget);
-            prop_assert_eq!(&report, &batch_report);
-            prop_assert_eq!(by_addrs.now(), batched.now());
-            prop_assert_eq!(by_addrs.metrics(), batched.metrics());
-            prop_assert_eq!(
-                by_addrs.snapshot().to_json(),
-                batched.snapshot().to_json()
-            );
-
-            let mut streamed = mk();
-            let mut sunk = Vec::new();
-            let counts = streamed.run_reads_with(&addrs, budget, |r| sunk.push(r));
-            prop_assert_eq!(sunk, batch_report.responses);
-            prop_assert_eq!(counts.accepted, batch_report.accepted);
-            prop_assert_eq!(counts.stalled, batch_report.stalled);
-            prop_assert_eq!(counts.rejected, batch_report.rejected);
-            prop_assert_eq!(counts.responses, report.responses.len() as u64);
-            prop_assert_eq!(streamed.metrics(), batched.metrics());
-        }
-
-        /// `issue_batch` over a fully dense request span (uniform,
-        /// bursty-ish write mixes, and adversarially colliding reads all
-        /// arise from the generators) is observationally identical to
-        /// `run_batch` over the `Some`-wrapped slice — same responses,
-        /// report, clock, metrics, and snapshot bytes.
-        #[test]
-        fn issue_batch_equals_run_batch(
-            reqs in proptest::collection::vec(
-                prop_oneof![
-                    4 => (0u64..1 << 16).prop_map(|a|
-                        Request::read(LineAddr(a))),
-                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)|
-                        Request::write(LineAddr(a), vec![v])),
-                    // Colliding reads: a stride the low-bits baseline
-                    // would funnel into one bank, to exercise stalls.
-                    1 => (0u64..256u64).prop_map(|a|
-                        Request::read(LineAddr(a * 64))),
-                ],
-                0..300,
-            ),
-            ratio_idx in 0usize..3,
-        ) {
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 7).unwrap();
-            let dense: Vec<Option<Request>> =
-                reqs.iter().cloned().map(Some).collect();
-
-            let mut batched = mk();
-            let batch_report = batched.run_batch(&dense, dense.len() as u64);
-
-            let mut issued = mk();
-            let report = issued.issue_batch(&reqs);
-            prop_assert_eq!(report, batch_report);
-            prop_assert_eq!(issued.now(), batched.now());
-            prop_assert_eq!(issued.metrics(), batched.metrics());
-            prop_assert_eq!(
-                issued.snapshot().to_json(),
-                batched.snapshot().to_json()
-            );
-        }
-
-        /// `run_sparse` over the `(offset, request)` encoding of a trace
-        /// is observationally identical to `run_batch` over its dense
-        /// form — including the skip accounting, since both jump exactly
-        /// the same idle gaps.
-        #[test]
-        fn run_sparse_equals_run_batch(
-            chunks in proptest::collection::vec(
-                prop_oneof![
-                    3 => (0u64..1 << 16).prop_map(|a|
-                        vec![Some(Request::read(LineAddr(a)))]),
-                    1 => (0u64..64u64, any::<u8>()).prop_map(|(a, v)|
-                        vec![Some(Request::write(LineAddr(a), vec![v]))]),
-                    2 => (1usize..100).prop_map(|n| vec![None; n]),
-                ],
-                0..40,
-            ),
-            tail in 0usize..120,
-            ratio_idx in 0usize..3,
-        ) {
-            let mut reqs: Vec<Option<Request>> = chunks.concat();
-            reqs.extend(std::iter::repeat_n(None, tail));
-            let sparse: Vec<(u64, Request)> = reqs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.clone().map(|r| (i as u64, r)))
-                .collect();
-            let ratio = [1.0, 1.3, 1.7][ratio_idx];
-            let cfg = VpnmConfig::small_test().with_bus_ratio(ratio);
-            let mk = || VpnmController::new(cfg.clone(), 9).unwrap();
-
-            let mut dense_run = mk();
-            let dense_report = dense_run.run_batch(&reqs, reqs.len() as u64);
-
-            let mut sparse_run = mk();
-            let report = sparse_run.run_sparse(reqs.len() as u64, &sparse);
-            prop_assert_eq!(report, dense_report);
-            prop_assert_eq!(sparse_run.now(), dense_run.now());
-            prop_assert_eq!(sparse_run.cycles_skipped(), dense_run.cycles_skipped());
-            prop_assert_eq!(
-                sparse_run.snapshot().to_json(),
-                dense_run.snapshot().to_json()
-            );
+            prop_assert_eq!(snap.to_json(), reference.snapshot().to_json());
         }
     }
 
@@ -2059,7 +1561,7 @@ mod tests {
             let d = mem.delay();
             mem.tick_write(9, vec![0x77]);
             // long idle stretch — fast-forwarded internally
-            let idle = mem.run(10 * d, |_| None);
+            let idle = mem.run_epoch_sparse(10 * d, &[]);
             assert!(idle.responses.is_empty());
             let out = mem.tick_read(9);
             assert!(out.accepted());

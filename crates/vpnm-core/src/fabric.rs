@@ -345,34 +345,70 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         None
     }
 
+    /// The fabric's one route pass, shared by [`VpnmFabric::tick`] and
+    /// every epoch: range-checks each `(offset, request)` lane item
+    /// against the fabric address space (recording a rejection at the
+    /// fabric cycle the request is presented), selects channels for the
+    /// well-formed ones in one batched pass
+    /// ([`ChannelSelector::route_batch`], SIMD-backed for the keyed
+    /// permutation), runs QoS admission serially in offset (= cycle)
+    /// order, and rewrites each admitted request to its channel-local
+    /// address. `emit` receives every item's outcome: `Ok((channel,
+    /// local request))`, or the rejection / [`StallKind::Throttled`]
+    /// deferral that held it at the fabric edge.
+    fn route<'r>(
+        &mut self,
+        lane: impl Iterator<Item = (u64, &'r Request)>,
+        mut emit: impl FnMut(u64, Result<(usize, Request), StallKind>),
+    ) {
+        let mut valid: Vec<(u64, &Request)> = Vec::with_capacity(lane.size_hint().0);
+        let mut addrs: Vec<u64> = Vec::with_capacity(lane.size_hint().0);
+        for (i, req) in lane {
+            match self.validate(req) {
+                Some(kind) => {
+                    self.fabric_metrics.record_stall(kind, Cycle::new(self.now + i + 1));
+                    emit(i, Err(kind));
+                }
+                None => {
+                    valid.push((i, req));
+                    addrs.push(req.addr().0);
+                }
+            }
+        }
+        let mut chans = vec![0u32; addrs.len()];
+        let mut locals = vec![0u64; addrs.len()];
+        self.selector.route_batch(&addrs, &mut chans, &mut locals);
+        for ((i, req), (&ch, &local)) in valid.into_iter().zip(chans.iter().zip(&locals)) {
+            // Admission runs at the exact cycle `tick` presents the
+            // request, so every drive mode defers the same requests.
+            if !self.admit(req, ch, local, self.now + i + 1) {
+                emit(i, Err(StallKind::Throttled));
+                continue;
+            }
+            let addr = LineAddr(local);
+            let local_req = match req {
+                Request::Read { tenant, .. } => Request::Read { addr, tenant: *tenant },
+                Request::Write { data, tenant, .. } => {
+                    Request::Write { addr, data: data.clone(), tenant: *tenant }
+                }
+            };
+            emit(i, Ok((ch as usize, local_req)));
+        }
+    }
+
     /// Advances all channels one lockstep interface cycle, routing
     /// `request` to its channel under the local address, and translating
     /// the (at most one) due response back to the fabric address space.
+    /// A request held at the fabric edge (malformed, or deferred by the
+    /// QoS regulator) reaches no channel, but the channels still advance.
     pub fn tick(&mut self, request: Option<Request>) -> TickOutput {
         let mut target: Option<(usize, Request)> = None;
         let mut stall = None;
-        if let Some(req) = request {
-            if let Some(kind) = self.validate(&req) {
-                stall = Some(kind);
-            } else {
-                let (ch, local) = self.selector.route(req.addr().0);
-                if self.admit(&req, ch, local, self.now + 1) {
-                    let local_req = match req {
-                        Request::Read { tenant, .. } => {
-                            Request::Read { addr: LineAddr(local), tenant }
-                        }
-                        Request::Write { data, tenant, .. } => {
-                            Request::Write { addr: LineAddr(local), data, tenant }
-                        }
-                    };
-                    target = Some((ch as usize, local_req));
-                } else {
-                    // Deferred, not dropped: the channels still advance
-                    // this cycle (lockstep), the request just never
-                    // reaches one. Accounted in the tenant ledger only.
-                    stall = Some(StallKind::Throttled);
-                }
-            }
+        if let Some(req) = &request {
+            self.route(std::iter::once((0, req)), |_, routed| match routed {
+                Ok(t) => target = Some(t),
+                Err(kind) => stall = Some(kind),
+            });
         }
 
         let mut response: Option<Response> = None;
@@ -393,14 +429,6 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             }
         }
         self.now += 1;
-        if let Some(kind) = stall {
-            if kind.is_rejection() {
-                // Channel-level stalls were already recorded by the
-                // channel's own metrics; only fabric-level rejections
-                // (malformed requests never routed) are accounted here.
-                self.fabric_metrics.record_stall(kind, Cycle::new(self.now));
-            }
-        }
         TickOutput { response, stall }
     }
 
@@ -447,153 +475,78 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// [`VpnmFabric::tick`] calls — byte-identical responses (in exact
     /// cycle order), stall counts, and merged snapshots, modulo the
     /// `cycles_skipped` drive-mode counter — but executed channel-major:
-    /// requests are routed into sparse per-channel lanes up front, each
-    /// channel advances through the full epoch independently via
-    /// [`PipelinedMemory::run_epoch_sparse`] (so per-channel batched
-    /// hashing applies and a channel jumps straight across the cycles
-    /// that belong to its siblings — the work per epoch scales with the
-    /// requests and responses, not with `channels x cycles` — and
-    /// channels can run on [`VpnmFabric::set_workers`] pool threads),
-    /// and the epoch barrier merges responses back into cycle order. At most one
-    /// response is due per fabric cycle (shared pinned `D`), so the merge
-    /// key `completed_at` is unique and the order exact.
+    /// requests are routed into sparse per-channel lanes, each channel
+    /// advances through the whole epoch via
+    /// [`PipelinedMemory::run_epoch_sparse`] (on [`VpnmFabric::set_workers`]
+    /// pool threads when configured), and the epoch barrier merges the
+    /// responses back into cycle order.
     pub fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
-        let mut report = RunReport::default();
-        if requests.is_empty() {
-            return report;
-        }
-        // Single-channel fast path: the selector is the identity (zero
-        // channel bits), so routing, local-address translation, and the
-        // barrier merge are all pure overhead — hand the engine the span
-        // directly. Only the well-formed case bypasses: a malformed
-        // request must be rejected *at the fabric* with fabric-level
-        // accounting, so any such span takes the generic path below —
-        // and so does any QoS-tracked fabric, whose per-request
-        // admission and ledger accounting live in that path.
-        if self.channels.len() == 1
-            && self.ledger.is_none()
-            && requests.iter().flatten().all(|req| self.validate(req).is_none())
-        {
-            let report = self.channels[0].run_epoch(requests);
-            self.now += requests.len() as u64;
-            return report;
-        }
-        // Route: scatter the span into sparse per-channel request lanes,
-        // holding malformed requests at the fabric edge exactly like
-        // `tick` does (same rejection kind, same recording cycle). Lanes
-        // are sparse `(offset, request)` pairs — the routing pass writes
-        // one entry per presented request, not one slot per channel per
-        // cycle, and each channel later jumps the gaps its lane encodes.
-        // Channel selection runs as one batched pass over the presented
-        // addresses ([`ChannelSelector::route_batch`], SIMD-backed for
-        // the keyed permutation), then the requests scatter to lanes.
-        let len = requests.len() as u64;
-        let mut offsets: Vec<u64> = Vec::with_capacity(requests.len());
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        for (i, slot) in requests.iter().enumerate() {
-            let Some(req) = slot else { continue };
-            if let Some(kind) = self.validate(req) {
-                report.rejected += 1;
-                self.fabric_metrics.record_stall(kind, Cycle::new(self.now + i as u64 + 1));
-                continue;
-            }
-            offsets.push(i as u64);
-            addrs.push(req.addr().0);
-        }
-        let mut chans = vec![0u32; addrs.len()];
-        let mut locals = vec![0u64; addrs.len()];
-        self.selector.route_batch(&addrs, &mut chans, &mut locals);
-        let mut lanes: Vec<SparseLane> = vec![Vec::new(); self.channels.len()];
-        for (k, &i) in offsets.iter().enumerate() {
-            let req = requests[i as usize].as_ref().expect("offsets index presented requests");
-            // Admission runs serially in offset (= cycle) order at the
-            // exact cycle `tick` would present the request, so the epoch
-            // path defers the same requests the sequential path does.
-            if !self.admit(req, chans[k], locals[k], self.now + i + 1) {
-                report.stalled += 1;
-                continue;
-            }
-            lanes[chans[k] as usize].push((
-                i,
-                match req {
-                    Request::Read { tenant, .. } => {
-                        Request::Read { addr: LineAddr(locals[k]), tenant: *tenant }
-                    }
-                    Request::Write { data, tenant, .. } => Request::Write {
-                        addr: LineAddr(locals[k]),
-                        data: data.clone(),
-                        tenant: *tenant,
-                    },
-                },
-            ));
-        }
-        self.execute_lanes(len, lanes, &mut report);
-        report
+        let lane = (0..).zip(requests).filter_map(|(i, r)| Some((i, r.as_ref()?)));
+        self.epoch(requests.len() as u64, lane, |engine| engine.run_epoch(requests))
     }
 
     /// Dense batch issue at the fabric: advances `requests.len()` cycles
     /// presenting `requests[i]` on cycle `i` — [`VpnmFabric::run_epoch`]
-    /// for saturated spans, with no `Option` slots to scan. A
-    /// single-channel fabric hands the span straight to its engine's
-    /// [`PipelinedMemory::issue_batch`] dense path; a multi-channel one
-    /// batch-routes and runs the usual sparse-lane epoch (each channel
-    /// still sees only its `1/C` slice, so its lane is inherently
-    /// sparse).
+    /// for saturated spans, with no `Option` slots to scan.
     pub fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        let mut report = RunReport::default();
-        if requests.is_empty() {
-            return report;
+        self.epoch(requests.len() as u64, (0..).zip(requests), |engine| {
+            engine.issue_batch(requests)
+        })
+    }
+
+    /// The one epoch path behind [`VpnmFabric::run_epoch`],
+    /// [`VpnmFabric::issue_batch`] and the fabric's
+    /// [`PipelinedMemory::run_epoch_sparse`]: advances `len` cycles,
+    /// presenting each lane item's request at cycle offset `offset`.
+    ///
+    /// A single-channel fabric with no QoS ledger hands a well-formed span
+    /// straight to its engine through `direct` — the same batch method the
+    /// caller was given, since the selector is the identity and routing,
+    /// translation and the barrier merge would be pure overhead. Any span
+    /// holding a malformed request takes the general path, so it is
+    /// rejected *at the fabric* with fabric-level accounting.
+    ///
+    /// The general path: [`VpnmFabric::route`] scatters the span into
+    /// sparse per-channel `(offset, request)` lanes, and each channel runs
+    /// its lane through [`PipelinedMemory::run_epoch_sparse`] — per-channel
+    /// batched hashing applies, and a channel jumps straight across the
+    /// cycles that belong to its siblings, so the work per epoch scales
+    /// with the requests and responses, not with `channels x cycles`.
+    /// At most one response is due per fabric cycle (shared pinned `D`),
+    /// so the barrier merge key `completed_at` is unique and the order
+    /// exact.
+    fn epoch<'r, L>(
+        &mut self,
+        len: u64,
+        lane: L,
+        direct: impl FnOnce(&mut M) -> RunReport,
+    ) -> RunReport
+    where
+        L: Iterator<Item = (u64, &'r Request)> + Clone,
+    {
+        if len == 0 {
+            return RunReport::default();
         }
         if self.channels.len() == 1
             && self.ledger.is_none()
-            && requests.iter().all(|req| self.validate(req).is_none())
+            && lane.clone().all(|(_, req)| self.validate(req).is_none())
         {
-            let report = self.channels[0].issue_batch(requests);
-            self.now += requests.len() as u64;
+            let report = direct(&mut self.channels[0]);
+            self.now += len;
             return report;
         }
-        let len = requests.len() as u64;
-        let mut offsets: Vec<u64> = Vec::with_capacity(requests.len());
-        let mut addrs: Vec<u64> = Vec::with_capacity(requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            if let Some(kind) = self.validate(req) {
-                report.rejected += 1;
-                self.fabric_metrics.record_stall(kind, Cycle::new(self.now + i as u64 + 1));
-                continue;
-            }
-            offsets.push(i as u64);
-            addrs.push(req.addr().0);
-        }
-        let mut chans = vec![0u32; addrs.len()];
-        let mut locals = vec![0u64; addrs.len()];
-        self.selector.route_batch(&addrs, &mut chans, &mut locals);
+        let mut report = RunReport::default();
         let mut lanes: Vec<SparseLane> = vec![Vec::new(); self.channels.len()];
-        for (k, &i) in offsets.iter().enumerate() {
-            let req = &requests[i as usize];
-            if !self.admit(req, chans[k], locals[k], self.now + i + 1) {
-                report.stalled += 1;
-                continue;
-            }
-            lanes[chans[k] as usize].push((
-                i,
-                match req {
-                    Request::Read { tenant, .. } => {
-                        Request::Read { addr: LineAddr(locals[k]), tenant: *tenant }
-                    }
-                    Request::Write { data, tenant, .. } => Request::Write {
-                        addr: LineAddr(locals[k]),
-                        data: data.clone(),
-                        tenant: *tenant,
-                    },
-                },
-            ));
-        }
+        self.route(lane, |offset, routed| match routed {
+            Ok((ch, req)) => lanes[ch].push((offset, req)),
+            Err(kind) if kind.is_rejection() => report.rejected += 1,
+            Err(_) => report.stalled += 1,
+        });
         self.execute_lanes(len, lanes, &mut report);
         report
     }
 
-    /// The execute-and-merge half of an epoch, shared by
-    /// [`VpnmFabric::run_epoch`] and [`VpnmFabric::issue_batch`]: runs
+    /// The execute-and-merge half of [`VpnmFabric::epoch`]: runs
     /// every channel through its sparse lane (on-thread or on the worker
     /// pool), folds the per-channel reports into `report`, and
     /// barrier-merges the response streams back into exact cycle order.
@@ -763,8 +716,13 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
         VpnmFabric::run_epoch(self, requests)
     }
 
+    fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+        // Routes the lane as given: no dense `len`-slot span is built.
+        let lane = requests.iter().map(|(offset, req)| (*offset, req));
+        self.epoch(len, lane, |engine| engine.run_epoch_sparse(len, requests))
+    }
+
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        // Batch-routed dense issue (single-channel bypass included).
         VpnmFabric::issue_batch(self, requests)
     }
 
@@ -783,7 +741,9 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive_program;
     use crate::{IdealMemory, VpnmController};
+    use proptest::prelude::*;
 
     fn fabric_config(channels: u32, select: ChannelSelect) -> FabricConfig {
         FabricConfig { channels, select, base: VpnmConfig::small_test(), qos: None }
@@ -1007,37 +967,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn issue_batch_matches_run_epoch() {
-        // Dense spans (every cycle presents a request) through the batch
-        // door must be byte-identical to the Option-slotted epoch path —
-        // including across the single-channel bypass and the epoch seam.
-        for channels in [1u32, 4] {
-            let cfg = fabric_config(channels, ChannelSelect::UniversalHash);
-            let mut epoched = VpnmFabric::new(cfg.clone(), 0xAB).unwrap();
-            let mut batched = VpnmFabric::new(cfg, 0xAB).unwrap();
-            let dense: Vec<Request> = epoch_stream(1200, 31).into_iter().flatten().collect();
-            let slotted: Vec<Option<Request>> = dense.iter().cloned().map(Some).collect();
-
-            let (sa, sb) = slotted.split_at(500);
-            let (da, db) = dense.split_at(500);
-            let ra = epoched.run_epoch(sa);
-            let rb = epoched.run_epoch(sb);
-            let ba = batched.issue_batch(da);
-            let bb = batched.issue_batch(db);
-            assert_eq!(ba, ra, "{channels}ch");
-            assert_eq!(bb, rb, "{channels}ch");
-            assert_eq!(batched.now(), epoched.now(), "{channels}ch");
-            assert_eq!(
-                PipelinedMemory::drain(&mut batched),
-                PipelinedMemory::drain(&mut epoched),
-                "{channels}ch"
-            );
-            assert_eq!(
-                snapshot_sans_skips(&batched),
-                snapshot_sans_skips(&epoched),
-                "{channels}ch"
-            );
+    proptest! {
+        /// The fabric's one route pass and epoch path, reached through
+        /// every batch method in a random program interleaved with `tick`
+        /// — across the single-channel pass-through, multi-channel routing
+        /// at 1 and 2 workers, and QoS tracking / per-bank regulation — is
+        /// observationally identical to a twin fabric driven one `tick`
+        /// per cycle: same responses and accept/stall/reject counts per
+        /// call, same clock, same drain, the same fabric-level rejection
+        /// count, and the same merged snapshot bytes (tenant ledger
+        /// included) modulo `cycles_skipped`.
+        #[test]
+        fn drive_paths_match_tick_twin(
+            program in drive_program::program(),
+            channels_idx in 0usize..3,
+            workers in 1usize..=2,
+            qos_idx in 0usize..3,
+        ) {
+            let mut cfg = fabric_config([1, 2, 4][channels_idx], ChannelSelect::UniversalHash);
+            cfg.qos = [
+                None,
+                Some(QosConfig::tracking(1)),
+                Some(qos_config(RegulatorMode::PerBank, 1, 2, 4)),
+            ][qos_idx];
+            let mut fab = VpnmFabric::new(cfg.clone(), 0xD1).unwrap();
+            fab.set_workers(workers);
+            let mut twin = VpnmFabric::new(cfg, 0xD1).unwrap();
+            for (k, call) in program.iter().enumerate() {
+                let got = drive_program::apply(&mut fab, call);
+                let want = drive_program::apply_ticks(&mut twin, call);
+                prop_assert_eq!(got, want, "call {}", k);
+                prop_assert_eq!(fab.now(), twin.now(), "call {}", k);
+            }
+            prop_assert_eq!(PipelinedMemory::drain(&mut fab), PipelinedMemory::drain(&mut twin));
+            prop_assert_eq!(fab.fabric_rejections(), twin.fabric_rejections());
+            prop_assert_eq!(fab.tenant_ledger(), twin.tenant_ledger());
+            prop_assert_eq!(snapshot_sans_skips(&fab), snapshot_sans_skips(&twin));
         }
     }
 

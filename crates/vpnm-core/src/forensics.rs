@@ -93,7 +93,7 @@ pub enum ForensicKind {
         /// must never happen for a validated config).
         miss: bool,
     },
-    /// An event-horizon skip ([`crate::VpnmController::run_batch`])
+    /// An event-horizon skip (the controller's batch drive loop)
     /// fast-forwarded `interface_cycles` idle interface cycles in one
     /// step — no requests arrived, no bank had work, and no playback fell
     /// due anywhere in the span. Recorded with bank 0 (the span is not

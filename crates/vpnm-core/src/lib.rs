@@ -54,6 +54,8 @@ pub mod config;
 pub mod controller;
 pub mod delay_line;
 pub mod delay_storage;
+#[cfg(test)]
+mod drive_program;
 pub mod fabric;
 pub mod forensics;
 pub mod hash_engine;
@@ -70,7 +72,7 @@ pub mod snapshot;
 pub mod write_buffer;
 
 pub use config::{SchedulerKind, VpnmConfig};
-pub use controller::{RunCounts, RunReport, StallPolicy, VpnmController};
+pub use controller::{RunReport, VpnmController};
 pub use fabric::{ChannelSelect, ChannelSelector, FabricConfig, VpnmFabric};
 pub use forensics::{ForensicEvent, ForensicKind, ForensicRing};
 pub use hash_engine::{HashEngine, HashKind};

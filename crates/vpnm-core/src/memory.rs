@@ -95,9 +95,10 @@ pub trait PipelinedMemory {
     /// metrics must be exactly what the equivalent
     /// [`PipelinedMemory::tick`] sequence produces. The one sanctioned
     /// exception is the `cycles_skipped` drive-mode counter — engines
-    /// with event-horizon skipping ([`crate::VpnmController`], which
-    /// routes this method to its `run_batch`) account skipped idle spans
-    /// there, while the per-tick path grinds through them.
+    /// with event-horizon skipping ([`crate::VpnmController`], whose one
+    /// batch drive loop serves this method, `run_epoch_sparse` and
+    /// `issue_batch` alike) account skipped idle spans there, while the
+    /// per-tick path grinds through them.
     fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
         let mut report = RunReport::default();
         for req in requests {
@@ -124,11 +125,12 @@ pub trait PipelinedMemory {
     /// the same epoch, just encoded sparsely). The default densifies and
     /// delegates, which is correct for every engine; engines with
     /// event-horizon skipping override it to jump the gaps directly —
-    /// [`crate::VpnmController`] routes it to its `run_sparse`, making
+    /// [`crate::VpnmController`]'s drive loop takes the lane as is, making
     /// the cost proportional to the requests and responses in the span
-    /// rather than to `len`. The [`crate::VpnmFabric`] epoch path feeds
-    /// each channel through this method: a channel of a `C`-channel
-    /// fabric only ever sees its own `1/C` slice of the stream.
+    /// rather than to `len`, and [`crate::VpnmFabric`] routes the lane
+    /// without densifying it. The fabric epoch path feeds each channel
+    /// through this method: a channel of a `C`-channel fabric only ever
+    /// sees its own `1/C` slice of the stream.
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
         let mut dense: Vec<Option<Request>> = vec![None; len as usize];
         for (offset, req) in requests {
@@ -146,7 +148,7 @@ pub trait PipelinedMemory {
     ///
     /// Same observational-equivalence contract as `run_epoch` over the
     /// `Some`-wrapped slice. The default ticks; [`crate::VpnmController`]
-    /// routes it to its chunked-hashing `issue_batch`, and
+    /// hands the span to its drive loop as a dense lane, and
     /// [`crate::VpnmFabric`] to its batch-routed epoch path.
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
         let mut report = RunReport::default();
@@ -255,23 +257,20 @@ impl PipelinedMemory for crate::VpnmController {
         crate::VpnmController::drain(self)
     }
 
+    // The three batch methods are adapters over the controller's one
+    // drive loop, each handing it the span as a sparse lane of
+    // `(offset, &Request)` items.
     fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
-        // The inherent batched path: pre-hashed banks plus event-horizon
-        // skipping over idle runs. A property test pins it byte-identical
-        // to the tick sequence (modulo `cycles_skipped`).
-        crate::VpnmController::run_batch(self, requests, requests.len() as u64)
+        let lane = (0..).zip(requests).filter_map(|(i, r)| Some((i, r.as_ref()?)));
+        self.drive(requests.len() as u64, lane)
     }
 
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
-        // The native sparse drive: idle gaps are jumped from the offsets
-        // alone, so no dense span is ever materialized or scanned.
-        crate::VpnmController::run_sparse(self, len, requests)
+        self.drive(len, requests.iter().map(|(offset, req)| (*offset, req)))
     }
 
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        // The dense fast path: chunked batched hashing, no Option or
-        // skip machinery. A property test pins it to `run_batch`.
-        crate::VpnmController::issue_batch(self, requests)
+        self.drive(requests.len() as u64, (0..).zip(requests))
     }
 
     fn bank_of(&self, addr: LineAddr) -> Option<u32> {

@@ -192,7 +192,7 @@ fn parallel_fabric_upholds_the_latency_invariant() {
 #[test]
 fn epoch_advance_is_uniform_across_trait_objects() {
     // `run_epoch` is part of the object-safe trait surface: the default
-    // tick-loop (IdealMemory), the controller's `run_batch` override, and
+    // tick-loop (IdealMemory), the controller's drive-loop override, and
     // the fabric's channel-major path all answer the same epoch through
     // `Box<dyn PipelinedMemory>` with identical response streams.
     use vpnm::core::fabric::{ChannelSelect, FabricConfig};

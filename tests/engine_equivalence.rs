@@ -255,7 +255,7 @@ fn fabric_runs_are_deterministic_at_four_channels() {
 
 /// Merged snapshot serialization with the one sanctioned epoch/tick
 /// divergence — the `cycles_skipped` drive-mode counter — masked off
-/// (the same convention the `run_batch` equivalence tests use).
+/// (the same convention the per-layer differential proptests use).
 fn snapshot_sans_skips<M: PipelinedMemory>(fab: &VpnmFabric<M>) -> String {
     let mut snap = fab.merged_snapshot().expect("fabric keeps metrics");
     snap.cycles_skipped = 0;
