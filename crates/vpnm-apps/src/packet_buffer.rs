@@ -408,9 +408,10 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
     }
 
     /// Runs `len` interface cycles in one epoch-batched call, applying at
-    /// most one event per cycle — the serving front-end's batch front
-    /// door, and the only packet-buffer drive mode that reaches a
-    /// fabric's parallel `run_epoch` worker path.
+    /// most one event per cycle. This and its arena twin
+    /// ([`VpnmPacketBuffer::run_epoch_arena`], which the serving loop
+    /// drives) are the packet-buffer drive modes that reach a fabric's
+    /// parallel worker pool.
     ///
     /// `events` holds `(cycle_offset, event)` pairs with offsets strictly
     /// increasing and `< len`; offsets with no entry run idle. Admission
@@ -453,7 +454,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
             }
             report.outcomes.push(outcome);
         }
-        self.finish_epoch(len, sparse, &mut report);
+        self.finish_epoch(len, sparse, &mut report, &mut || {});
         report
     }
 
@@ -475,6 +476,26 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
         len: u64,
         events: &[(u64, LaneEvent)],
         arena: &Bytes,
+    ) -> BufferEpochReport {
+        self.run_epoch_arena_overlapped(len, events, arena, &mut || {})
+    }
+
+    /// [`VpnmPacketBuffer::run_epoch_arena`] with a caller hook that runs
+    /// exactly once while the memory executes the epoch (see
+    /// [`PipelinedMemory::issue_batch_overlapped`]). Admission against the
+    /// shadow pointers is finished before the hook runs, and the report
+    /// is exactly `run_epoch_arena`'s. The serving loop plans its next
+    /// epoch and retires its previous one in the hook.
+    ///
+    /// # Panics
+    ///
+    /// As [`VpnmPacketBuffer::run_epoch_arena`].
+    pub fn run_epoch_arena_overlapped(
+        &mut self,
+        len: u64,
+        events: &[(u64, LaneEvent)],
+        arena: &Bytes,
+        overlap: &mut dyn FnMut(),
     ) -> BufferEpochReport {
         let mut report = BufferEpochReport {
             outcomes: Vec::with_capacity(events.len()),
@@ -500,7 +521,7 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
             }
             report.outcomes.push(outcome);
         }
-        self.finish_epoch(len, sparse, &mut report);
+        self.finish_epoch(len, sparse, &mut report, overlap);
         report
     }
 
@@ -544,13 +565,15 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
         }
     }
 
-    /// Runs the admitted request lane through the memory and pairs the
-    /// epoch's responses into the report.
+    /// Runs the admitted request lane through the memory (calling
+    /// `overlap` once while it executes) and pairs the epoch's responses
+    /// into the report.
     fn finish_epoch(
         &mut self,
         len: u64,
         sparse: Vec<(u64, Request)>,
         report: &mut BufferEpochReport,
+        overlap: &mut dyn FnMut(),
     ) {
         // A full epoch — one accepted event on every cycle, which is the
         // steady state at line rate — needs no sparse gap-jumping at all:
@@ -559,9 +582,9 @@ impl<M: PipelinedMemory> VpnmPacketBuffer<M> {
         // batch-issue door (batched hashing/routing, no skip machinery).
         let run = if sparse.len() as u64 == len {
             let dense: Vec<Request> = sparse.into_iter().map(|(_, req)| req).collect();
-            self.mem.issue_batch(&dense)
+            self.mem.issue_batch_overlapped(&dense, overlap)
         } else {
-            self.mem.run_epoch_sparse(len, &sparse)
+            self.mem.run_epoch_sparse_overlapped(len, &sparse, overlap)
         };
         report.stalled = run.stalled;
         self.stats.memory_stalls += run.stalled;

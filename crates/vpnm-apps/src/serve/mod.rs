@@ -15,8 +15,12 @@
 //!                                  FlowTable slot == buffer queue index
 //!                                                                  │
 //!  egress ◄── deterministic t+D return ◄── VpnmPacketBuffer ◄──────┘
-//!             (latency histogram)          run_epoch → fabric workers
+//!             (latency histogram)          run_epoch_arena → fabric workers
 //! ```
+//!
+//! **Two-stage epochs.** While the fabric's workers execute epoch `N`,
+//! the server thread retires epoch `N − 1` and plans epoch `N + 1` (see
+//! [`run_serve`]), so its own work hides behind channel execution.
 //!
 //! **Backpressure is explicit and bounded everywhere.** A packet that
 //! cannot be absorbed is *rejected* at a named, counted boundary — never
@@ -59,7 +63,7 @@ use vpnm_workloads::packets::{payload_extend, payload_matches};
 use vpnm_workloads::{HeavyTailFlows, MultiTenantMix, Tagged, TenantFlowGen, UniformAddresses};
 
 use crate::engine::EngineOpts;
-use crate::packet_buffer::{LaneEvent, VpnmPacketBuffer};
+use crate::packet_buffer::{BufferEpochReport, LaneEvent, VpnmPacketBuffer};
 
 /// Flow-ID distribution for synthetic traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -236,8 +240,274 @@ impl TenantLanes {
     }
 }
 
+/// One scheduled epoch, ready for the packet buffer: its length, event
+/// lane and payload arena.
+struct PlannedEpoch {
+    len: u64,
+    events: Vec<(u64, LaneEvent)>,
+    arena: Bytes,
+}
+
+/// The serving loop's state on the server thread, split into its two
+/// halves: [`ServeLoop::plan_epoch`] (ingress, flow-table slotting, the
+/// egress/admit schedule, the payload arena) and [`ServeLoop::retire`]
+/// (pairing deliveries with issued dequeues, payload verification,
+/// latency).
+///
+/// Planning reads only schedule-time state — the ingress and transmit
+/// FIFOs and the flow table's counters — and never a memory response, so
+/// epoch `N + 1` can be planned, and epoch `N - 1` retired, while the
+/// memory executes epoch `N`. The one planning input that retirement
+/// touches is the drain budget's `issued` backlog; see
+/// [`ServeLoop::drain_end`].
+struct ServeLoop<'c> {
+    cfg: &'c ServeConfig,
+    plan: EpochPlan,
+    delay: u64,
+    table: FlowTable,
+    // Ingress entries carry their flow-table slot, resolved at
+    // admission time (batched when possible). Admission order equals
+    // FIFO service order, so hoisting the `slot_of` probe from service
+    // to admission preserves the exact probe sequence — and with it the
+    // table layout — byte for byte.
+    ingress: VecDeque<(u64, Option<u32>, u16)>,
+    tx_fifo: VecDeque<PendingCell>,
+    issued: VecDeque<PendingCell>,
+    tenant_lanes: Option<TenantLanes>,
+    serving: ServingMetrics,
+    latency: FineHistogram,
+    occupancy: Histogram,
+    stalls_seen: u64,
+    /// Issued dequeues retired so far (pops of `issued`).
+    retired: u64,
+    /// The drain budget's backlog and `retired`, both taken when the
+    /// last offered epoch was planned.
+    budget_at_plan: (u64, u64),
+    /// `retired` once the next-to-last offered epoch has been retired.
+    retired_by_penultimate: u64,
+    // Reused across epochs: the spare event lane, the batched-slotting
+    // scratch, and the payload arena — the steady state allocates one
+    // arena per epoch, nothing per packet.
+    spare_events: Vec<(u64, LaneEvent)>,
+    batch_flows: Vec<u64>,
+    slots_lane: Vec<Option<u32>>,
+    arena_buf: Vec<u8>,
+}
+
+impl<'c> ServeLoop<'c> {
+    fn new(cfg: &'c ServeConfig, capacity: u32, delay: u64) -> Self {
+        ServeLoop {
+            cfg,
+            plan: EpochPlan { cycles: cfg.cycles, epoch_len: cfg.epoch_len },
+            delay,
+            table: FlowTable::new(capacity),
+            ingress: VecDeque::with_capacity(cfg.queue_depth),
+            tx_fifo: VecDeque::new(),
+            issued: VecDeque::new(),
+            tenant_lanes: cfg.engine.qos().map(|q| TenantLanes::new(usize::from(q.tenants.max(1)))),
+            serving: ServingMetrics {
+                producers: cfg.producers,
+                paced_rate: cfg.pace.unwrap_or(0),
+                queue_bound: cfg.queue_depth,
+                ..ServingMetrics::default()
+            },
+            latency: FineHistogram::new(),
+            occupancy: Histogram::new(),
+            stalls_seen: 0,
+            retired: 0,
+            budget_at_plan: (0, 0),
+            retired_by_penultimate: 0,
+            spare_events: Vec::new(),
+            batch_flows: Vec::new(),
+            slots_lane: Vec::new(),
+            arena_buf: Vec::new(),
+        }
+    }
+
+    fn drop_one(&mut self, tenant: u16) {
+        if let Some(t) = self.tenant_lanes.as_mut() {
+            t.drop_one(tenant);
+        }
+    }
+
+    /// Schedules epoch `epoch` from its `arrivals` (empty for drain
+    /// epochs): one memory operation per cycle, shared between egress
+    /// (transmit) and admission.
+    fn plan_epoch(&mut self, epoch: u64, arrivals: &[Arrival]) -> PlannedEpoch {
+        let cfg = self.cfg;
+        let offered_epochs = self.plan.epochs();
+        let (start, end) = if epoch < offered_epochs {
+            self.plan.window(epoch)
+        } else {
+            let start = cfg.cycles + (epoch - offered_epochs) * cfg.epoch_len;
+            (start, start + cfg.epoch_len)
+        };
+        if epoch + 1 == offered_epochs {
+            let backlog = (self.ingress.len() + self.tx_fifo.len() + self.issued.len()) as u64
+                + arrivals.len() as u64
+                + cfg.epoch_len;
+            self.budget_at_plan = (backlog, self.retired);
+        }
+
+        // When the whole epoch provably fits behind the queue bound, no
+        // arrival can tail-drop, so every flow is resolved upfront in
+        // one batched, prefetched table pass; otherwise fall back to
+        // per-arrival probing at admission (same probe order).
+        let batched = self.ingress.len() + arrivals.len() <= cfg.queue_depth;
+        if batched && !arrivals.is_empty() {
+            self.batch_flows.clear();
+            self.batch_flows.extend(arrivals.iter().map(|a| a.flow));
+            self.table.slots_of_batch(&self.batch_flows, &mut self.slots_lane);
+        }
+
+        let mut events = std::mem::take(&mut self.spare_events);
+        events.clear();
+        let mut next_arrival = 0usize;
+        for c in start..end {
+            while next_arrival < arrivals.len() && arrivals[next_arrival].cycle == c {
+                let a = arrivals[next_arrival];
+                self.serving.offered += 1;
+                if batched {
+                    self.ingress.push_back((a.cycle, self.slots_lane[next_arrival], a.tenant));
+                } else if self.ingress.len() >= cfg.queue_depth {
+                    self.serving.ingress_drops += 1;
+                    self.drop_one(a.tenant);
+                } else {
+                    self.ingress.push_back((a.cycle, self.table.slot_of(a.flow), a.tenant));
+                }
+                next_arrival += 1;
+            }
+            self.occupancy.record(self.ingress.len() as u64);
+
+            let offset = c - start;
+            // Egress-first when the transmit backlog has caught up with
+            // ingress: keeps both sides bounded and the pipe full.
+            if !self.tx_fifo.is_empty() && self.tx_fifo.len() >= self.ingress.len() {
+                let cell = self.tx_fifo.pop_front().expect("non-empty");
+                let seq = self.table.note_dequeue(cell.slot);
+                debug_assert_eq!(seq, cell.seq, "per-flow FIFO order");
+                events.push((offset, LaneEvent::Dequeue { queue: cell.slot, tenant: cell.tenant }));
+                self.issued.push_back(cell);
+            } else if let Some(&(arrived, slot, tenant)) = self.ingress.front() {
+                match slot {
+                    None => {
+                        self.serving.flow_table_drops += 1;
+                        self.drop_one(tenant);
+                    }
+                    Some(slot) if u64::from(self.table.occupancy(slot)) >= cfg.cells_per_queue => {
+                        self.serving.flow_queue_drops += 1;
+                        self.drop_one(tenant);
+                    }
+                    Some(slot) => {
+                        let seq = self.table.note_enqueue(slot);
+                        let span = self.arena_buf.len() as u32;
+                        payload_extend(slot, seq, cfg.cell_bytes, &mut self.arena_buf);
+                        events.push((
+                            offset,
+                            LaneEvent::Enqueue {
+                                queue: slot,
+                                start: span,
+                                end: self.arena_buf.len() as u32,
+                                tenant,
+                            },
+                        ));
+                        self.serving.admitted += 1;
+                        self.tx_fifo.push_back(PendingCell { arrival: arrived, slot, seq, tenant });
+                    }
+                }
+                self.ingress.pop_front();
+            }
+            self.serving.transmit_backlog_hwm =
+                self.serving.transmit_backlog_hwm.max(self.tx_fifo.len() as u64);
+        }
+
+        // One refcounted arena per epoch; every enqueue is a zero-copy
+        // slice of it. Replacing (not taking) keeps the capacity hint.
+        let filled = self.arena_buf.len();
+        let arena = Bytes::from(std::mem::replace(&mut self.arena_buf, Vec::with_capacity(filled)));
+        PlannedEpoch { len: end - start, events, arena }
+    }
+
+    /// Hands a run epoch's event lane back for reuse.
+    fn recycle(&mut self, events: Vec<(u64, LaneEvent)>) {
+        self.spare_events = events;
+    }
+
+    /// Retires epoch `epoch`'s deliveries: pairs each with its issued
+    /// dequeue, verifies the payload, and records the latency.
+    fn retire(&mut self, epoch: u64, report: BufferEpochReport) -> Result<(), String> {
+        let cfg = self.cfg;
+        debug_assert!(report.outcomes.iter().all(Result::is_ok), "shadow occupancy is exact");
+        self.stalls_seen += report.stalled;
+        for d in report.delivered {
+            // A stalled read loses its response; skip (and count) the
+            // orphaned issue-side entries the same way the buffer does.
+            let cell = loop {
+                let front = self.issued.pop_front().ok_or("response without an issued dequeue")?;
+                self.retired += 1;
+                if front.slot == d.cell.queue {
+                    break front;
+                }
+                self.serving.stall_drops += 1;
+                self.drop_one(front.tenant);
+            };
+            if cfg.verify && !payload_matches(cell.slot, cell.seq, cfg.cell_bytes, &d.cell.data) {
+                if self.stalls_seen == 0 {
+                    return Err(format!(
+                        "payload mismatch on stall-free run: flow slot {} seq {}",
+                        cell.slot, cell.seq
+                    ));
+                }
+                // A stalled write leaves a hole the read returns garbage
+                // from; the packet was lost to the stall.
+                self.serving.stall_drops += 1;
+                self.drop_one(cell.tenant);
+                continue;
+            }
+            self.serving.transmitted += 1;
+            let waited = d.completed_at.saturating_sub(cell.arrival);
+            self.latency.record(waited);
+            if let Some(t) = self.tenant_lanes.as_mut() {
+                let lane = t.lane(cell.tenant);
+                t.transmitted[lane] += 1;
+                t.latency[lane].record(waited);
+            }
+        }
+        if epoch + 2 == self.plan.epochs() {
+            self.retired_by_penultimate = self.retired;
+        }
+        Ok(())
+    }
+
+    /// The first epoch past the drain budget: the backlog left when the
+    /// offered window ends, plus the pipeline delay, in epochs, plus two.
+    ///
+    /// The serial loop measured the backlog's `issued` term after the
+    /// next-to-last offered epoch was retired. The two-stage loop plans
+    /// the last offered epoch while that retirement is still to come, so
+    /// the dequeues it later retires are taken back out here. When it
+    /// was retired first, the correction is zero.
+    fn drain_end(&self) -> u64 {
+        let (backlog, retired_at_plan) = self.budget_at_plan;
+        let late = self.retired_by_penultimate.saturating_sub(retired_at_plan);
+        self.plan.epochs() + (backlog - late + self.delay).div_ceil(self.cfg.epoch_len) + 2
+    }
+
+    /// Everything admitted has retired.
+    fn done(&self) -> bool {
+        self.ingress.is_empty() && self.tx_fifo.is_empty() && self.issued.is_empty()
+    }
+}
+
 /// Runs one serving session end to end: spawn producers, drive the
 /// buffer epoch by epoch (pacing if configured), drain, and account.
+///
+/// Offered epochs run in two stages: while the memory executes epoch
+/// `N` (on the fabric's workers, when it has a pool), the server thread
+/// retires epoch `N - 1` and plans epoch `N + 1`. Drain epochs run one
+/// at a time, because whether another is needed depends on the
+/// retirement of the last one. Every simulated output is identical to
+/// running plan, execute and retire serially.
 ///
 /// On return every offered packet is accounted exactly once:
 /// `offered == transmitted + ingress_drops + flow_queue_drops +
@@ -272,227 +542,99 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     let capacity = u32::try_from(capacity_u64).map_err(|_| "flow space too large".to_string())?;
     let mem = cfg.engine.build(cfg.base.clone(), cfg.seed)?;
     let mut buf = VpnmPacketBuffer::with_memory(mem, capacity, cfg.cells_per_queue)?;
-    let mut table = FlowTable::new(capacity);
-
-    let plan = EpochPlan { cycles: cfg.cycles, epoch_len: cfg.epoch_len };
+    let mut st = ServeLoop::new(cfg, capacity, buf.delay());
+    let plan = st.plan;
     let mut rig = IngressRig::spawn(cfg.producers, &cfg.source, plan, cfg.seed);
-
-    // Ingress entries carry their flow-table slot, resolved at
-    // admission time (batched when possible). Admission order equals
-    // FIFO service order, so hoisting the `slot_of` probe from service
-    // to admission preserves the exact probe sequence — and with it the
-    // table layout — byte for byte.
-    let mut ingress: VecDeque<(u64, Option<u32>, u16)> = VecDeque::with_capacity(cfg.queue_depth);
-    let mut tx_fifo: VecDeque<PendingCell> = VecDeque::new();
-    let mut issued: VecDeque<PendingCell> = VecDeque::new();
-    let mut tenant_lanes =
-        cfg.engine.qos().map(|q| TenantLanes::new(usize::from(q.tenants.max(1))));
-
-    let mut serving = ServingMetrics {
-        producers: cfg.producers,
-        paced_rate: cfg.pace.unwrap_or(0),
-        queue_bound: cfg.queue_depth,
-        ..ServingMetrics::default()
-    };
-    let mut latency = FineHistogram::new();
-    let mut occupancy = Histogram::new();
-    let mut stalls_seen = 0u64;
 
     let mut pacer = cfg.pace.map(WallPacer::new);
     let mut cycles_banked = 0u64;
     let started = Instant::now();
+    // Pace: wait until the wall clock has earned `len` more cycles.
+    let mut pace = |len: u64| {
+        let Some(pacer) = pacer.as_mut() else { return };
+        loop {
+            let elapsed = started.elapsed().as_nanos() as u64;
+            cycles_banked += pacer.cycles_due(elapsed);
+            if cycles_banked >= len {
+                cycles_banked -= len;
+                return;
+            }
+            let wait = pacer.nanos_until_next(elapsed).max(1);
+            std::thread::sleep(std::time::Duration::from_nanos(wait.min(5_000_000)));
+        }
+    };
 
-    // The offered window, then idle drain epochs until everything
-    // admitted has retired (bounded budget: backlog + pipeline delay).
+    // The offered window, two-stage: epoch N's hook retires N - 1 and
+    // plans N + 1. A verification failure inside the hook is held until
+    // the epoch completes, so the engines are home before returning.
     let offered_epochs = plan.epochs();
-    let mut epoch = 0u64;
-    let drain_budget =
-        |backlog: u64, delay: u64, epoch_len: u64| (backlog + delay).div_ceil(epoch_len) + 2;
-    let mut drain_end: Option<u64> = None;
-    // Reused across epochs: the event lane, the batched-slotting
-    // scratch, and the payload arena — the steady state allocates one
-    // arena per epoch, nothing per packet.
-    let mut events: Vec<(u64, LaneEvent)> = Vec::new();
-    let mut batch_flows: Vec<u64> = Vec::new();
-    let mut slots_lane: Vec<Option<u32>> = Vec::new();
-    let mut arena_buf: Vec<u8> = Vec::new();
-    loop {
-        let (start, end) = if epoch < offered_epochs {
-            plan.window(epoch)
-        } else {
-            let done = ingress.is_empty() && tx_fifo.is_empty() && issued.is_empty();
-            let budget_exhausted = drain_end.is_some_and(|e| epoch >= e);
-            if done || budget_exhausted {
-                break;
+    let mut planned = Some(st.plan_epoch(0, rig.next_epoch()));
+    let mut unretired: Option<(u64, BufferEpochReport)> = None;
+    for epoch in 0..offered_epochs {
+        let cur = planned.take().expect("planned during the previous epoch");
+        pace(cur.len);
+        let mut retired = Ok(());
+        let report = buf.run_epoch_arena_overlapped(cur.len, &cur.events, &cur.arena, &mut || {
+            if let Some((prev, report)) = unretired.take() {
+                retired = st.retire(prev, report);
             }
-            let start = cfg.cycles + (epoch - offered_epochs) * cfg.epoch_len;
-            (start, start + cfg.epoch_len)
-        };
-        let len = end - start;
-
-        let arrivals: &[Arrival] = if epoch < offered_epochs { rig.next_epoch() } else { &[] };
-        if epoch + 1 == offered_epochs {
-            let backlog = (ingress.len() + tx_fifo.len() + issued.len()) as u64
-                + arrivals.len() as u64
-                + cfg.epoch_len;
-            drain_end = Some(offered_epochs + drain_budget(backlog, buf.delay(), cfg.epoch_len));
-        }
-
-        // Pace: wait until the wall clock has earned `len` more cycles.
-        if let Some(pacer) = pacer.as_mut() {
-            loop {
-                let elapsed = started.elapsed().as_nanos() as u64;
-                cycles_banked += pacer.cycles_due(elapsed);
-                if cycles_banked >= len {
-                    cycles_banked -= len;
-                    break;
-                }
-                let wait = pacer.nanos_until_next(elapsed).max(1);
-                std::thread::sleep(std::time::Duration::from_nanos(wait.min(5_000_000)));
+            if epoch + 1 < offered_epochs {
+                planned = Some(st.plan_epoch(epoch + 1, rig.next_epoch()));
             }
-        }
+        });
+        retired?;
+        st.recycle(cur.events);
+        unretired = Some((epoch, report));
+    }
+    if let Some((prev, report)) = unretired {
+        st.retire(prev, report)?;
+    }
 
-        // When the whole epoch provably fits behind the queue bound, no
-        // arrival can tail-drop, so every flow is resolved upfront in
-        // one batched, prefetched table pass; otherwise fall back to
-        // per-arrival probing at admission (same probe order).
-        let batched = ingress.len() + arrivals.len() <= cfg.queue_depth;
-        if batched && !arrivals.is_empty() {
-            batch_flows.clear();
-            batch_flows.extend(arrivals.iter().map(|a| a.flow));
-            table.slots_of_batch(&batch_flows, &mut slots_lane);
-        }
-
-        // Schedule the epoch: one memory operation per cycle, shared
-        // between egress (transmit) and admission.
-        events.clear();
-        let mut next_arrival = 0usize;
-        for c in start..end {
-            while next_arrival < arrivals.len() && arrivals[next_arrival].cycle == c {
-                let a = arrivals[next_arrival];
-                serving.offered += 1;
-                if batched {
-                    ingress.push_back((a.cycle, slots_lane[next_arrival], a.tenant));
-                } else if ingress.len() >= cfg.queue_depth {
-                    serving.ingress_drops += 1;
-                    if let Some(t) = tenant_lanes.as_mut() {
-                        t.drop_one(a.tenant);
-                    }
-                } else {
-                    ingress.push_back((a.cycle, table.slot_of(a.flow), a.tenant));
-                }
-                next_arrival += 1;
-            }
-            occupancy.record(ingress.len() as u64);
-
-            let offset = c - start;
-            // Egress-first when the transmit backlog has caught up with
-            // ingress: keeps both sides bounded and the pipe full.
-            if !tx_fifo.is_empty() && tx_fifo.len() >= ingress.len() {
-                let cell = tx_fifo.pop_front().expect("non-empty");
-                let seq = table.note_dequeue(cell.slot);
-                debug_assert_eq!(seq, cell.seq, "per-flow FIFO order");
-                events.push((offset, LaneEvent::Dequeue { queue: cell.slot, tenant: cell.tenant }));
-                issued.push_back(cell);
-            } else if let Some(&(arrived, slot, tenant)) = ingress.front() {
-                match slot {
-                    None => {
-                        serving.flow_table_drops += 1;
-                        if let Some(t) = tenant_lanes.as_mut() {
-                            t.drop_one(tenant);
-                        }
-                        ingress.pop_front();
-                    }
-                    Some(slot) if u64::from(table.occupancy(slot)) >= cfg.cells_per_queue => {
-                        serving.flow_queue_drops += 1;
-                        if let Some(t) = tenant_lanes.as_mut() {
-                            t.drop_one(tenant);
-                        }
-                        ingress.pop_front();
-                    }
-                    Some(slot) => {
-                        let seq = table.note_enqueue(slot);
-                        let span = arena_buf.len() as u32;
-                        payload_extend(slot, seq, cfg.cell_bytes, &mut arena_buf);
-                        events.push((
-                            offset,
-                            LaneEvent::Enqueue {
-                                queue: slot,
-                                start: span,
-                                end: arena_buf.len() as u32,
-                                tenant,
-                            },
-                        ));
-                        serving.admitted += 1;
-                        tx_fifo.push_back(PendingCell { arrival: arrived, slot, seq, tenant });
-                        ingress.pop_front();
-                    }
-                }
-            }
-            serving.transmit_backlog_hwm = serving.transmit_backlog_hwm.max(tx_fifo.len() as u64);
-        }
-
-        // One refcounted arena per epoch; every enqueue is a zero-copy
-        // slice of it. Replacing (not taking) keeps the capacity hint.
-        let filled = arena_buf.len();
-        let arena = Bytes::from(std::mem::replace(&mut arena_buf, Vec::with_capacity(filled)));
-        let report = buf.run_epoch_arena(len, &events, &arena);
-        debug_assert!(report.outcomes.iter().all(Result::is_ok), "shadow occupancy is exact");
-        stalls_seen += report.stalled;
-        for d in report.delivered {
-            // A stalled read loses its response; skip (and count) the
-            // orphaned issue-side entries the same way the buffer does.
-            let cell = loop {
-                let front = issued.pop_front().ok_or("response without an issued dequeue")?;
-                if front.slot == d.cell.queue {
-                    break front;
-                }
-                serving.stall_drops += 1;
-                if let Some(t) = tenant_lanes.as_mut() {
-                    t.drop_one(front.tenant);
-                }
-            };
-            if cfg.verify && !payload_matches(cell.slot, cell.seq, cfg.cell_bytes, &d.cell.data) {
-                if stalls_seen == 0 {
-                    return Err(format!(
-                        "payload mismatch on stall-free run: flow slot {} seq {}",
-                        cell.slot, cell.seq
-                    ));
-                }
-                // A stalled write leaves a hole the read returns garbage
-                // from; the packet was lost to the stall.
-                serving.stall_drops += 1;
-                if let Some(t) = tenant_lanes.as_mut() {
-                    t.drop_one(cell.tenant);
-                }
-                continue;
-            }
-            serving.transmitted += 1;
-            let waited = d.completed_at.saturating_sub(cell.arrival);
-            latency.record(waited);
-            if let Some(t) = tenant_lanes.as_mut() {
-                let lane = t.lane(cell.tenant);
-                t.transmitted[lane] += 1;
-                t.latency[lane].record(waited);
-            }
-        }
+    // Idle drain epochs until everything admitted has retired (bounded
+    // budget: backlog + pipeline delay), one at a time.
+    let drain_end = st.drain_end();
+    let mut epoch = offered_epochs;
+    while !st.done() && epoch < drain_end {
+        let cur = st.plan_epoch(epoch, &[]);
+        pace(cur.len);
+        let report = buf.run_epoch_arena(cur.len, &cur.events, &cur.arena);
+        st.recycle(cur.events);
+        st.retire(epoch, report)?;
         epoch += 1;
     }
+    // A drain cut short by its budget can leave reads in flight; they
+    // land within `D`, so each issued packet ends up either delivered or
+    // an orphan of a stall.
+    if buf.memory().outstanding() > 0 {
+        let report = buf.run_epoch_arena(buf.delay(), &[], &Bytes::new());
+        st.retire(epoch, report)?;
+    }
+    let ServeLoop {
+        table,
+        ingress,
+        tx_fifo,
+        issued,
+        mut tenant_lanes,
+        mut serving,
+        latency,
+        occupancy,
+        ..
+    } = st;
     // Join first, then take the exact park total: `join` reads the
     // counters with `Acquire` after every producer thread has exited,
     // so no in-flight increment is missed at shutdown.
     serving.producer_parks = rig.join();
 
     // Anything still unpaired after a full drain is an orphan of a
-    // stalled read.
-    serving.stall_drops += buf.reconcile_lost();
+    // stalled read. The buffer counts the same orphans among its own
+    // in-flight entries; each lost packet is counted once, from `issued`.
+    buf.reconcile_lost();
     serving.stall_drops += issued.len() as u64;
     if let Some(t) = tenant_lanes.as_mut() {
         for cell in &issued {
             t.drop_one(cell.tenant);
         }
     }
-    issued.clear();
 
     serving.flows = table.flows();
     serving.latency = latency;
@@ -670,6 +812,28 @@ mod tests {
                 t.deferred
             );
         }
+    }
+
+    #[test]
+    fn stalling_memory_still_conserves_packets() {
+        // 4-deep bank queues stall under full-rate traffic. Stalled reads
+        // leave orphaned dequeues behind, some of them trailing the last
+        // delivery; each lost packet must be counted exactly once.
+        let cfg = ServeConfig {
+            base: VpnmConfig::small_test(),
+            cycles: 20_000,
+            epoch_len: 512,
+            source: ArrivalSource::Synthetic {
+                load: 0.49,
+                mix: FlowMix::Uniform { space: 1 << 8 },
+            },
+            cells_per_queue: 8,
+            ..small()
+        };
+        let report = run_serve(&cfg).unwrap();
+        let s = &report.serving;
+        assert!(s.stall_drops > 0, "the config must exercise memory stalls");
+        assert!(s.conserves(report.residual), "{s:?} residual {}", report.residual);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Random drive programs for the per-layer differential proptests.
 //!
 //! A program is a sequence of [`PipelinedMemory`] calls — `tick`,
-//! `issue_batch`, `run_epoch` with idle gaps, and `run_epoch_sparse` —
-//! over a mix of reads, writes and (in release builds) malformed
+//! `issue_batch`, `run_epoch` with idle gaps, `run_epoch_sparse`, and the
+//! two overlapped doors with a hook that must run exactly once — over a
+//! mix of reads, writes and (in release builds) malformed
 //! requests. Each layer's test applies the program through the named
 //! methods and compares every call against a twin driven one `tick` per
 //! cycle: responses, accept/stall/reject counts and the clock must agree
@@ -31,6 +32,10 @@ pub enum Call {
     /// The span's `(offset, request)` encoding through
     /// `run_epoch_sparse`, with the span length as the epoch length.
     RunEpochSparse(Vec<Option<Request>>),
+    /// `issue_batch_overlapped` over a dense span.
+    IssueBatchOverlapped(Vec<Request>),
+    /// `run_epoch_sparse_overlapped`, encoded as [`Call::RunEpochSparse`].
+    RunEpochSparseOverlapped(Vec<Option<Request>>),
 }
 
 impl Call {
@@ -38,8 +43,12 @@ impl Call {
     fn span(&self) -> Vec<Option<Request>> {
         match self {
             Call::Tick(req) => vec![req.clone()],
-            Call::IssueBatch(reqs) => reqs.iter().cloned().map(Some).collect(),
-            Call::RunEpoch(span) | Call::RunEpochSparse(span) => span.clone(),
+            Call::IssueBatch(reqs) | Call::IssueBatchOverlapped(reqs) => {
+                reqs.iter().cloned().map(Some).collect()
+            }
+            Call::RunEpoch(span)
+            | Call::RunEpochSparse(span)
+            | Call::RunEpochSparseOverlapped(span) => span.clone(),
         }
     }
 }
@@ -79,6 +88,8 @@ pub fn program() -> impl Strategy<Value = Vec<Call>> {
             1 => proptest::collection::vec(request(), 0..200).prop_map(Call::IssueBatch),
             1 => span().prop_map(Call::RunEpoch),
             1 => span().prop_map(Call::RunEpochSparse),
+            1 => proptest::collection::vec(request(), 0..200).prop_map(Call::IssueBatchOverlapped),
+            1 => span().prop_map(Call::RunEpochSparseOverlapped),
         ],
         1..12,
     )
@@ -90,12 +101,28 @@ pub fn apply<M: PipelinedMemory>(mem: &mut M, call: &Call) -> RunReport {
         Call::Tick(_) => apply_ticks(mem, call),
         Call::IssueBatch(reqs) => mem.issue_batch(reqs),
         Call::RunEpoch(span) => mem.run_epoch(span),
-        Call::RunEpochSparse(span) => {
-            let lane: Vec<(u64, Request)> =
-                (0..).zip(span).filter_map(|(i, r)| Some((i, r.clone()?))).collect();
-            mem.run_epoch_sparse(span.len() as u64, &lane)
+        Call::RunEpochSparse(span) => mem.run_epoch_sparse(span.len() as u64, &sparse(span)),
+        Call::IssueBatchOverlapped(reqs) => {
+            hooked_once(|hook| mem.issue_batch_overlapped(reqs, hook))
         }
+        Call::RunEpochSparseOverlapped(span) => hooked_once(|hook| {
+            mem.run_epoch_sparse_overlapped(span.len() as u64, &sparse(span), hook)
+        }),
     }
+}
+
+/// A span's `(offset, request)` encoding.
+fn sparse(span: &[Option<Request>]) -> Vec<(u64, Request)> {
+    (0..).zip(span).filter_map(|(i, r)| Some((i, r.clone()?))).collect()
+}
+
+/// Runs an overlapped door with a counting hook; the hook must run
+/// exactly once per call, whatever path the call takes.
+fn hooked_once(door: impl FnOnce(&mut dyn FnMut()) -> RunReport) -> RunReport {
+    let mut calls = 0u32;
+    let report = door(&mut || calls += 1);
+    assert_eq!(calls, 1, "the overlap hook runs exactly once per call");
+    report
 }
 
 /// Applies `call` one `tick` per cycle — the twin's only drive path.

@@ -482,16 +482,14 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// responses back into cycle order.
     pub fn run_epoch(&mut self, requests: &[Option<Request>]) -> RunReport {
         let lane = (0..).zip(requests).filter_map(|(i, r)| Some((i, r.as_ref()?)));
-        self.epoch(requests.len() as u64, lane, |engine| engine.run_epoch(requests))
+        self.epoch(requests.len() as u64, lane, |engine| engine.run_epoch(requests), &mut || {})
     }
 
     /// Dense batch issue at the fabric: advances `requests.len()` cycles
     /// presenting `requests[i]` on cycle `i` — [`VpnmFabric::run_epoch`]
     /// for saturated spans, with no `Option` slots to scan.
     pub fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
-        self.epoch(requests.len() as u64, (0..).zip(requests), |engine| {
-            engine.issue_batch(requests)
-        })
+        PipelinedMemory::issue_batch_overlapped(self, requests, &mut || {})
     }
 
     /// The one epoch path behind [`VpnmFabric::run_epoch`],
@@ -515,16 +513,22 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// At most one response is due per fabric cycle (shared pinned `D`),
     /// so the barrier merge key `completed_at` is unique and the order
     /// exact.
+    ///
+    /// `overlap` runs exactly once per call: on the caller's thread while
+    /// the pool's workers execute the channels, or after the epoch on
+    /// every path that has no workers to overlap with.
     fn epoch<'r, L>(
         &mut self,
         len: u64,
         lane: L,
         direct: impl FnOnce(&mut M) -> RunReport,
+        overlap: &mut dyn FnMut(),
     ) -> RunReport
     where
         L: Iterator<Item = (u64, &'r Request)> + Clone,
     {
         if len == 0 {
+            overlap();
             return RunReport::default();
         }
         if self.channels.len() == 1
@@ -533,6 +537,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
         {
             let report = direct(&mut self.channels[0]);
             self.now += len;
+            overlap();
             return report;
         }
         let mut report = RunReport::default();
@@ -542,7 +547,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
             Err(kind) if kind.is_rejection() => report.rejected += 1,
             Err(_) => report.stalled += 1,
         });
-        self.execute_lanes(len, lanes, &mut report);
+        self.execute_lanes(len, lanes, &mut report, overlap);
         report
     }
 
@@ -550,7 +555,15 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
     /// every channel through its sparse lane (on-thread or on the worker
     /// pool), folds the per-channel reports into `report`, and
     /// barrier-merges the response streams back into exact cycle order.
-    fn execute_lanes(&mut self, len: u64, lanes: Vec<SparseLane>, report: &mut RunReport) {
+    /// `overlap` runs between submit and receive on the pool, after the
+    /// channels on-thread.
+    fn execute_lanes(
+        &mut self,
+        len: u64,
+        lanes: Vec<SparseLane>,
+        report: &mut RunReport,
+        overlap: &mut dyn FnMut(),
+    ) {
         let c = self.channels.len();
         // Execute: every channel advances through the epoch independently.
         // Engines travel to the pool workers by value and come home at the
@@ -569,6 +582,7 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
                     let r = engine.run_epoch_sparse(len, lane);
                     fold(ch, r);
                 }
+                overlap();
             }
             Some(pool) => {
                 let w = pool.workers();
@@ -580,6 +594,9 @@ impl<M: PipelinedMemory> VpnmFabric<M> {
                 for (worker, job) in jobs.into_iter().enumerate() {
                     pool.submit(worker, job);
                 }
+                // The channels are out on the workers: the caller's own
+                // work runs here instead of blocking in `recv`.
+                overlap();
                 let mut slots: Vec<Option<M>> = (0..c).map(|_| None).collect();
                 for worker in 0..w {
                     for (ch, engine, r) in pool.recv(worker) {
@@ -718,12 +735,31 @@ impl<M: PipelinedMemory> PipelinedMemory for VpnmFabric<M> {
 
     fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
         // Routes the lane as given: no dense `len`-slot span is built.
-        let lane = requests.iter().map(|(offset, req)| (*offset, req));
-        self.epoch(len, lane, |engine| engine.run_epoch_sparse(len, requests))
+        self.run_epoch_sparse_overlapped(len, requests, &mut || {})
     }
 
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
         VpnmFabric::issue_batch(self, requests)
+    }
+
+    fn issue_batch_overlapped(
+        &mut self,
+        requests: &[Request],
+        overlap: &mut dyn FnMut(),
+    ) -> RunReport {
+        let lane = (0..).zip(requests);
+        self.epoch(requests.len() as u64, lane, |engine| engine.issue_batch(requests), overlap)
+    }
+
+    fn run_epoch_sparse_overlapped(
+        &mut self,
+        len: u64,
+        requests: &[(u64, Request)],
+        overlap: &mut dyn FnMut(),
+    ) -> RunReport {
+        // Routes the lane as given: no dense `len`-slot span is built.
+        let lane = requests.iter().map(|(offset, req)| (*offset, req));
+        self.epoch(len, lane, |engine| engine.run_epoch_sparse(len, requests), overlap)
     }
 
     fn snapshot(&self) -> Option<MetricsSnapshot> {
@@ -1030,6 +1066,139 @@ mod tests {
             let (report, snap) = run(workers);
             assert_eq!(report, base_report, "workers = {workers}");
             assert_eq!(snap, base_snap, "workers = {workers}");
+        }
+    }
+
+    /// Drives the two overlapped doors on `hooked` and the plain doors on
+    /// `plain` over the same spans — an empty epoch first — and demands
+    /// one hook call per door call, equal reports, and equal snapshots.
+    fn assert_overlapped_matches_plain(
+        plain: &mut dyn PipelinedMemory,
+        hooked: &mut dyn PipelinedMemory,
+        what: &str,
+    ) {
+        let stream = epoch_stream(900, 21);
+        for (k, span) in [&stream[..0], &stream[..300], &stream[300..600], &stream[600..]]
+            .into_iter()
+            .enumerate()
+        {
+            let mut calls = 0;
+            let (want, got) = if k % 2 == 0 {
+                let dense: Vec<Request> = span.iter().flatten().cloned().collect();
+                (
+                    plain.issue_batch(&dense),
+                    hooked.issue_batch_overlapped(&dense, &mut || calls += 1),
+                )
+            } else {
+                let lane: Vec<(u64, Request)> =
+                    (0..).zip(span).filter_map(|(i, r)| Some((i, r.clone()?))).collect();
+                let len = span.len() as u64;
+                (
+                    plain.run_epoch_sparse(len, &lane),
+                    hooked.run_epoch_sparse_overlapped(len, &lane, &mut || calls += 1),
+                )
+            };
+            assert_eq!(calls, 1, "{what}, span {k}: the hook runs exactly once");
+            assert_eq!(got, want, "{what}, span {k}");
+        }
+        assert_eq!(hooked.now(), plain.now(), "{what}");
+        assert_eq!(
+            hooked.snapshot().map(|s| s.to_json()),
+            plain.snapshot().map(|s| s.to_json()),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn overlapped_doors_run_the_hook_once_and_match_the_plain_doors() {
+        // The single-channel pass-through, on-thread channels, the pool.
+        for (channels, workers) in [(1, 1), (4, 1), (4, 2)] {
+            let cfg = fabric_config(channels, ChannelSelect::UniversalHash);
+            let mut plain = VpnmFabric::new(cfg.clone(), 0x0E).unwrap();
+            let mut hooked = VpnmFabric::new(cfg, 0x0E).unwrap();
+            plain.set_workers(workers);
+            hooked.set_workers(workers);
+            let what = format!("{channels}ch W={workers}");
+            assert_overlapped_matches_plain(&mut plain, &mut hooked, &what);
+        }
+        // Boxed as a trait object, as the serving loop holds it.
+        let cfg = fabric_config(4, ChannelSelect::UniversalHash);
+        let mut plain = VpnmFabric::new(cfg.clone(), 0x0E).unwrap();
+        let mut fab = VpnmFabric::new(cfg, 0x0E).unwrap();
+        plain.set_workers(2);
+        fab.set_workers(2);
+        let mut boxed: Box<dyn PipelinedMemory> = Box::new(fab);
+        assert_overlapped_matches_plain(&mut plain, &mut boxed, "boxed 4ch W=2");
+    }
+
+    /// A channel engine that will not start an epoch until the caller's
+    /// overlap hook has run (or ~2 s have passed), and counts the epochs
+    /// that saw the hook first.
+    struct WaitsForHook {
+        inner: IdealMemory,
+        hook_ran: std::sync::Arc<std::sync::atomic::AtomicBool>,
+        saw_hook: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl PipelinedMemory for WaitsForHook {
+        fn delay(&self) -> u64 {
+            self.inner.delay()
+        }
+        fn tick(&mut self, request: Option<Request>) -> TickOutput {
+            self.inner.tick(request)
+        }
+        fn outstanding(&self) -> usize {
+            self.inner.outstanding()
+        }
+        fn now(&self) -> Cycle {
+            self.inner.now()
+        }
+        fn run_epoch_sparse(&mut self, len: u64, requests: &[(u64, Request)]) -> RunReport {
+            use std::sync::atomic::Ordering;
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            while !self.hook_ran.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+            if self.hook_ran.load(Ordering::Acquire) {
+                self.saw_hook.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.run_epoch_sparse(len, requests)
+        }
+    }
+
+    #[test]
+    fn pool_runs_the_hook_while_channels_execute() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // A hook placed after the barrier, or a `Box` that drops the
+        // overlapped door for the default (plain epoch, then hook), would
+        // leave every channel waiting out its deadline.
+        // Both doors, through the `Box<dyn PipelinedMemory>` forwarding.
+        for dense in [false, true] {
+            let hook_ran = Arc::new(AtomicBool::new(false));
+            let saw_hook = Arc::new(AtomicUsize::new(0));
+            let cfg = fabric_config(4, ChannelSelect::UniversalHash);
+            let mut fab = VpnmFabric::with_engines(cfg, 3, |_, ccfg, _| {
+                Ok(WaitsForHook {
+                    inner: IdealMemory::new(ccfg.effective_delay(), ccfg.cell_bytes),
+                    hook_ran: Arc::clone(&hook_ran),
+                    saw_hook: Arc::clone(&saw_hook),
+                })
+            })
+            .unwrap();
+            fab.set_workers(2);
+            let mut mem: Box<dyn PipelinedMemory> = Box::new(fab);
+            let reqs: Vec<Request> = (0..64).map(|a| Request::read(LineAddr(a))).collect();
+            let report = if dense {
+                mem.issue_batch_overlapped(&reqs, &mut || hook_ran.store(true, Ordering::Release))
+            } else {
+                let lane: Vec<(u64, Request)> = (0..).zip(reqs).collect();
+                mem.run_epoch_sparse_overlapped(64, &lane, &mut || {
+                    hook_ran.store(true, Ordering::Release)
+                })
+            };
+            assert_eq!(report.accepted, 64);
+            assert_eq!(saw_hook.load(Ordering::Relaxed), 4, "dense = {dense}");
         }
     }
 

@@ -166,6 +166,40 @@ pub trait PipelinedMemory {
         report
     }
 
+    /// [`PipelinedMemory::issue_batch`] with a caller hook: runs the same
+    /// epoch and calls `overlap` exactly once while it executes, so the
+    /// caller can do independent work (plan the next epoch, retire the
+    /// previous one) instead of waiting.
+    ///
+    /// The hook must not depend on this epoch's outcome; where it runs
+    /// is the implementation's choice. The default runs the epoch, then
+    /// the hook. [`crate::VpnmFabric`] with a worker pool runs it on the
+    /// caller's thread while the channels execute on the workers. The
+    /// report is exactly the plain method's.
+    fn issue_batch_overlapped(
+        &mut self,
+        requests: &[Request],
+        overlap: &mut dyn FnMut(),
+    ) -> RunReport {
+        let report = self.issue_batch(requests);
+        overlap();
+        report
+    }
+
+    /// [`PipelinedMemory::run_epoch_sparse`] with a caller hook, under the
+    /// same contract as [`PipelinedMemory::issue_batch_overlapped`]: the
+    /// hook runs exactly once, and the report is the plain method's.
+    fn run_epoch_sparse_overlapped(
+        &mut self,
+        len: u64,
+        requests: &[(u64, Request)],
+        overlap: &mut dyn FnMut(),
+    ) -> RunReport {
+        let report = self.run_epoch_sparse(len, requests);
+        overlap();
+        report
+    }
+
     /// The aggregate metrics, for engines that keep them. `None` for
     /// models without an accounting layer ([`IdealMemory`]) and for
     /// composites whose metrics only exist in merged snapshot form
@@ -222,6 +256,21 @@ impl<M: PipelinedMemory + ?Sized> PipelinedMemory for Box<M> {
     }
     fn issue_batch(&mut self, requests: &[Request]) -> RunReport {
         (**self).issue_batch(requests)
+    }
+    fn issue_batch_overlapped(
+        &mut self,
+        requests: &[Request],
+        overlap: &mut dyn FnMut(),
+    ) -> RunReport {
+        (**self).issue_batch_overlapped(requests, overlap)
+    }
+    fn run_epoch_sparse_overlapped(
+        &mut self,
+        len: u64,
+        requests: &[(u64, Request)],
+        overlap: &mut dyn FnMut(),
+    ) -> RunReport {
+        (**self).run_epoch_sparse_overlapped(len, requests, overlap)
     }
     fn metrics(&self) -> Option<&ControllerMetrics> {
         (**self).metrics()

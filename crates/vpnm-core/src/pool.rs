@@ -23,8 +23,12 @@
 //!   workers share no state with the caller. Determinism is then the
 //!   caller's job-construction invariant, not a synchronization property.
 //!
-//! The pool is engine-agnostic (any `Fn(worker, J) -> R`), so the
-//! upcoming serving front-end can reuse it for request-shard workers.
+//! The pool is engine-agnostic (any `Fn(worker, J) -> R`); its user is
+//! the fabric's epoch path. Because [`WorkerPool::submit`] and
+//! [`WorkerPool::recv`] are separate calls, the caller's thread is free
+//! between them: the fabric runs the caller's overlap hook there
+//! ([`crate::PipelinedMemory::issue_batch_overlapped`]), which is where
+//! the serving loop plans and retires its epochs.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
